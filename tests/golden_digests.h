@@ -1,6 +1,6 @@
 // Shared golden-digest machinery: the FNV-1a fold, the hashing packet sink,
-// and the three pinned scenario digests (per-qdisc raw engine, pulse attack,
-// adaptive pulse). golden_trace_test pins these against checked-in constants;
+// and the pinned scenario digests (per-qdisc raw engine, pulse attack,
+// adaptive pulse, and the sender-side farm and replicated worlds). golden_trace_test pins these against checked-in constants;
 // cm_test re-runs the same worlds with the shared congestion manager on to
 // prove the cm-off path (and the single-session cm-on path) is byte-identical.
 //
@@ -10,16 +10,20 @@
 #ifndef MCC_TESTS_GOLDEN_DIGESTS_H
 #define MCC_TESTS_GOLDEN_DIGESTS_H
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "adversary/adversary.h"
 #include "adversary/containment.h"
 #include "crypto/prng.h"
 #include "exp/testbed.h"
+#include "flid/replicated.h"
 #include "sim/aqm.h"
 #include "sim/link.h"
 #include "sim/network.h"
@@ -36,6 +40,11 @@ struct fnv1a {
       h ^= (v >> (8 * i)) & 0xff;
       h *= 1099511628211ULL;
     }
+  }
+  void fold_double(double v) { fold(std::bit_cast<std::uint64_t>(v)); }
+  void fold_text(std::string_view s) {
+    fold(s.size());
+    for (const char c : s) fold(static_cast<unsigned char>(c));
   }
   [[nodiscard]] std::string hex() const {
     char buf[19];
@@ -253,6 +262,105 @@ inline std::string run_adaptive_pulse_digest(
   digest.fold(bn.dropped);
   digest.fold(bn.delivered);
   return digest.hex();
+}
+
+/// Checked-in sender-side digests (scenarios below).
+inline constexpr const char* kSenderFarmGolden = "0x3dcb01384d41a45c";
+inline constexpr const char* kReplicatedGolden = "0x8aebda8dbac71a7b";
+
+/// Folds a testbed's whole metrics snapshot (names and values) plus the
+/// scenario's analysis outputs. The scheduler's queue-occupancy gauges
+/// (pending count, its high-water marks, and the wheel's bucket occupancy)
+/// are left out: they describe how the event queue holds pending work, not
+/// what the world did, so an engine change that keeps every fired event may
+/// move them. sched.executed_events stays in.
+inline std::string fold_world(
+    const exp::testbed& tb,
+    const std::vector<std::pair<std::string, double>>& outputs) {
+  fnv1a digest;
+  for (const auto& [name, v] : tb.metrics().snapshot()) {
+    if (name.starts_with("sched.") && name != "sched.executed_events") {
+      continue;
+    }
+    digest.fold_text(name);
+    digest.fold_double(v);
+  }
+  for (const auto& [name, v] : outputs) {
+    digest.fold_text(name);
+    digest.fold_double(v);
+  }
+  return digest.hex();
+}
+
+/// An 8-session FLID-DS farm sharing one bottleneck with the congestion
+/// manager on, session 0 inflating its subscription at 10 s: every FLID
+/// sender's slot pacing and every SIGMA control emitter run in one world.
+inline std::string run_sender_farm_digest(sim::scheduler_config sched_cfg = {}) {
+  constexpr int sessions = 8;
+  const sim::time_ns attack_at = sim::seconds(10.0);
+  const sim::time_ns horizon = sim::seconds(30.0);
+  exp::dumbbell_config cfg;
+  cfg.sched = sched_cfg;
+  cfg.bottleneck_bps = 250e3 * sessions;
+  cfg.seed = 11;
+  cfg.cm = true;
+  exp::testbed tb(exp::dumbbell(cfg));
+  exp::receiver_options attacker;
+  attacker.at = "r";
+  attacker.attack = mcc::adversary::inflate_once(attack_at);
+  exp::flid_session& rogue = tb.add_flid_session(exp::flid_mode::ds, {attacker});
+  exp::receiver_options neighbour;
+  neighbour.at = "r";
+  const std::vector<exp::flid_session*> honest =
+      tb.add_session_array(sessions - 1, exp::flid_mode::ds, {neighbour});
+  tb.run_until(horizon);
+
+  std::vector<std::pair<std::string, double>> out;
+  const exp::session_rollup post =
+      exp::session_rollup_for(honest, attack_at, horizon);
+  for (const auto& col : post.sessions) out.emplace_back(col.name, col.rate);
+  out.emplace_back("honest_jain", post.jain);
+  out.emplace_back("attacker_kbps", rogue.receiver(0).monitor().average_kbps(
+                                        attack_at, horizon));
+  return fold_world(tb, out);
+}
+
+/// A replicated-multicast session (one group at a time) from the left edge
+/// to two receivers behind a 400 Kbps bottleneck shared with a TCP flow.
+inline std::string run_replicated_digest(sim::scheduler_config sched_cfg = {}) {
+  exp::dumbbell_config cfg;
+  cfg.sched = sched_cfg;
+  cfg.bottleneck_bps = 400e3;
+  cfg.seed = 99;
+  exp::testbed tb(exp::dumbbell(cfg));
+  flid::flid_config fc;
+  fc.session_id = 601;
+  fc.group_addr_base = 60'000;
+  fc.num_groups = 6;
+  fc.base_rate_bps = 100e3;
+  fc.rate_multiplier = 1.4;
+  fc.slot_duration = sim::milliseconds(500);
+  const sim::node_id src = tb.attach_host("rep_src", "l");
+  flid::replicated_sender sender(tb.net(), src, fc, cfg.seed);
+  sender.start(0);
+  const sim::node_id d1 = tb.attach_host("rep_rcv1", "r");
+  const sim::node_id d2 = tb.attach_host("rep_rcv2", "r");
+  flid::replicated_receiver r1(tb.net(), d1, tb.router("r"), fc);
+  flid::replicated_receiver r2(tb.net(), d2, tb.router("r"), fc);
+  r1.start(0);
+  r2.start(sim::seconds(7.0));
+  tb.add_tcp_flow();
+  tb.run_until(sim::seconds(40.0));
+
+  std::vector<std::pair<std::string, double>> out;
+  for (flid::replicated_receiver* r : {&r1, &r2}) {
+    out.emplace_back("group", r->current_group());
+    out.emplace_back("bytes",
+                     static_cast<double>(r->monitor().total_bytes()));
+    out.emplace_back("kbps", r->monitor().average_kbps(sim::seconds(20.0),
+                                                       sim::seconds(40.0)));
+  }
+  return fold_world(tb, out);
 }
 
 }  // namespace mcc::testing

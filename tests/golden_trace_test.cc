@@ -21,9 +21,13 @@ namespace {
 using mcc::testing::golden;
 using mcc::testing::kAdaptivePulseGolden;
 using mcc::testing::kPulseAttackGolden;
+using mcc::testing::kReplicatedGolden;
+using mcc::testing::kSenderFarmGolden;
 using mcc::testing::run_adaptive_pulse_digest;
 using mcc::testing::run_digest;
 using mcc::testing::run_pulse_attack_digest;
+using mcc::testing::run_replicated_digest;
+using mcc::testing::run_sender_farm_digest;
 
 class golden_trace : public ::testing::TestWithParam<qdisc> {};
 
@@ -104,6 +108,39 @@ TEST(golden_trace_adversary, adaptive_pulse_timeline_matches_checked_in_digest) 
 
 TEST(golden_trace_adversary, adaptive_digest_is_reproducible_within_a_process) {
   EXPECT_EQ(run_adaptive_pulse_digest(), run_adaptive_pulse_digest());
+}
+
+// ---------------------------------------------------------------------------
+// Sender-side golden worlds: the slot pacing of many FLID-DS senders and
+// their SIGMA control emitters (8-session cm farm), and the replicated
+// sender. Each digest folds the full metrics snapshot minus the scheduler's
+// queue gauges, plus the analysis outputs (scenarios in golden_digests.h).
+// ---------------------------------------------------------------------------
+
+TEST(golden_trace_senders, farm_world_matches_checked_in_digest) {
+  EXPECT_EQ(run_sender_farm_digest(), kSenderFarmGolden)
+      << "multi-session FLID-DS farm drifted (if intentional, update the "
+         "digest with the value above)";
+}
+
+TEST(golden_trace_senders, farm_digest_is_policy_invariant) {
+  scheduler_config wheel;
+  wheel.policy = sched_policy::wheel;
+  EXPECT_EQ(run_sender_farm_digest(wheel), kSenderFarmGolden)
+      << "wheel scheduler diverged from the heap on the session farm";
+}
+
+TEST(golden_trace_senders, replicated_world_matches_checked_in_digest) {
+  EXPECT_EQ(run_replicated_digest(), kReplicatedGolden)
+      << "replicated-sender world drifted (if intentional, update the "
+         "digest with the value above)";
+}
+
+TEST(golden_trace_senders, replicated_digest_is_policy_invariant) {
+  scheduler_config wheel;
+  wheel.policy = sched_policy::wheel;
+  EXPECT_EQ(run_replicated_digest(wheel), kReplicatedGolden)
+      << "wheel scheduler diverged from the heap on the replicated world";
 }
 
 // ---------------------------------------------------------------------------
