@@ -13,7 +13,10 @@ sigma_ctrl_emitter::sigma_ctrl_emitter(sim::network& net,
       slot_duration_(slot_duration),
       key_bits_(key_bits),
       cfg_(cfg),
-      code_(cfg.data_shards, cfg.parity_shards) {
+      code_(cfg.data_shards, cfg.parity_shards),
+      train_(net.sched(), [this](sim::packet& p) {
+        net_.get(host_)->send(std::move(p));
+      }) {
   util::require(!groups_.empty(), "sigma_ctrl_emitter: no groups");
 }
 
@@ -70,10 +73,9 @@ void sigma_ctrl_emitter::emit_block(const sigma_key_block& block,
     const sim::time_ns when =
         slot_start +
         (2 * static_cast<sim::time_ns>(i) + 1) * slot_duration_ / (2 * total);
-    net_.sched().at(when, [this, p = std::move(p)]() mutable {
-      net_.get(host_)->send(std::move(p));
-    });
+    train_.add(when, std::move(p));
   }
+  train_.launch();
 }
 
 }  // namespace mcc::core

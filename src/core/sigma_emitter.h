@@ -11,6 +11,7 @@
 #include "core/delta_layered.h"
 #include "core/sigma_wire.h"
 #include "crypto/rs_code.h"
+#include "sim/event_train.h"
 #include "sim/network.h"
 
 namespace mcc::core {
@@ -65,6 +66,7 @@ class sigma_ctrl_emitter {
   sigma_emitter_config cfg_;
   crypto::rs_code code_;
   counters stats_;
+  sim::event_train<sim::packet> train_;  // the current block's shards
 };
 
 }  // namespace mcc::core

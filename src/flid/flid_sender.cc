@@ -20,7 +20,11 @@ sim::session_announcement flid_config::announcement() const {
 
 flid_sender::flid_sender(sim::network& net, sim::node_id host,
                          const flid_config& cfg, std::uint64_t seed)
-    : net_(net), host_(host), cfg_(cfg), rng_(seed) {
+    : net_(net),
+      host_(host),
+      cfg_(cfg),
+      rng_(seed),
+      train_(net.sched(), [this](slot_packet& s) { send_packet(s); }) {
   util::require(cfg_.num_groups >= 1 && cfg_.num_groups <= 30,
                 "flid_sender: unsupported group count");
   util::require(cfg_.slot_duration > 0, "flid_sender: bad slot duration");
@@ -102,33 +106,31 @@ void flid_sender::begin_slot(std::int64_t slot) {
           position * static_cast<double>(t));
       const sim::time_ns when =
           slot_start + std::clamp<sim::time_ns>(offset, 0, t - 1);
-      net_.sched().at(when, [this, slot, g, i, n, mask] {
-        send_packet(slot, g, i, n, mask);
-      });
+      train_.add(when, {slot, g, i, n, mask});
     }
   }
+  train_.launch();
   net_.sched().at(slot_start + t, [this, slot] { begin_slot(slot + 1); });
 }
 
-void flid_sender::send_packet(std::int64_t slot, int g, int seq, int count,
-                              std::uint32_t auth_mask) {
+void flid_sender::send_packet(const slot_packet& s) {
   sim::flid_data hdr;
   hdr.session_id = cfg_.session_id;
-  hdr.group_index = g;
-  hdr.slot = slot;
-  hdr.seq_in_slot = seq;
-  hdr.packets_in_slot = count;
-  hdr.last_in_slot = (seq == count - 1);
-  hdr.upgrade_auth_mask = auth_mask;
+  hdr.group_index = s.g;
+  hdr.slot = s.slot;
+  hdr.seq_in_slot = s.seq;
+  hdr.packets_in_slot = s.count;
+  hdr.last_in_slot = (s.seq == s.count - 1);
+  hdr.upgrade_auth_mask = s.auth_mask;
   if (delta_ != nullptr) {
-    delta_->fill_fields(slot, g, seq, hdr.last_in_slot, hdr);
+    delta_->fill_fields(s.slot, s.g, s.seq, hdr.last_in_slot, hdr);
   }
 
   sim::packet p;
   p.size_bytes = cfg_.packet_bytes;
-  p.dst = sim::dest::to_group(cfg_.group(g));
+  p.dst = sim::dest::to_group(cfg_.group(s.g));
   p.ecn_capable = true;
-  if (sigma_tagging_) p.tag = sim::sigma_tag{cfg_.session_id, slot};
+  if (sigma_tagging_) p.tag = sim::sigma_tag{cfg_.session_id, s.slot};
   p.hdr = hdr;
   net_.get(host_)->send(std::move(p));
   ++stats_.data_packets;

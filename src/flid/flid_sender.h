@@ -12,6 +12,7 @@
 
 #include "crypto/prng.h"
 #include "flid/flid_config.h"
+#include "sim/event_train.h"
 #include "sim/network.h"
 
 namespace mcc::flid {
@@ -28,6 +29,16 @@ class delta_sender_hook {
   /// Fills hdr.component / hdr.decrease for one data packet.
   virtual void fill_fields(std::int64_t slot, int group, int seq_in_slot,
                            bool last_in_slot, sim::flid_data& hdr) = 0;
+};
+
+/// One data packet of a slot as the slotted senders pace it: group g's
+/// seq-th of count packets.
+struct slot_packet {
+  std::int64_t slot;
+  int g;
+  int seq;
+  int count;
+  std::uint32_t auth_mask;
 };
 
 class flid_sender {
@@ -68,8 +79,7 @@ class flid_sender {
 
  private:
   void begin_slot(std::int64_t slot);
-  void send_packet(std::int64_t slot, int g, int seq, int count,
-                   std::uint32_t auth_mask);
+  void send_packet(const slot_packet& s);
 
   sim::network& net_;
   sim::node_id host_;
@@ -83,6 +93,7 @@ class flid_sender {
   std::int64_t auth_cache_slot_ = -1;
   std::uint32_t auth_cache_mask_ = 0;
   counters stats_;
+  sim::event_train<slot_packet> train_;  // the current slot's packets
 };
 
 }  // namespace mcc::flid

@@ -8,7 +8,10 @@ namespace mcc::flid {
 
 replicated_sender::replicated_sender(sim::network& net, sim::node_id host,
                                      const flid_config& cfg, std::uint64_t)
-    : net_(net), host_(host), cfg_(cfg) {
+    : net_(net),
+      host_(host),
+      cfg_(cfg),
+      train_(net.sched(), [this](slot_packet& s) { send_packet(s); }) {
   util::require(cfg_.num_groups >= 1 && cfg_.num_groups <= 30,
                 "replicated_sender: unsupported group count");
 }
@@ -68,32 +71,30 @@ void replicated_sender::begin_slot(std::int64_t slot) {
     for (int i = 0; i < n; ++i) {
       const sim::time_ns when =
           slot_start + (2 * static_cast<sim::time_ns>(i) + 1) * t / (2 * n);
-      net_.sched().at(when, [this, slot, g, i, n, mask] {
-        send_packet(slot, g, i, n, mask);
-      });
+      train_.add(when, {slot, g, i, n, mask});
     }
   }
+  train_.launch();
   net_.sched().at(slot_start + t, [this, slot] { begin_slot(slot + 1); });
 }
 
-void replicated_sender::send_packet(std::int64_t slot, int g, int seq,
-                                    int count, std::uint32_t auth_mask) {
+void replicated_sender::send_packet(const slot_packet& s) {
   sim::flid_data hdr;
   hdr.session_id = cfg_.session_id;
-  hdr.group_index = g;
-  hdr.slot = slot;
-  hdr.seq_in_slot = seq;
-  hdr.packets_in_slot = count;
-  hdr.last_in_slot = (seq == count - 1);
-  hdr.upgrade_auth_mask = auth_mask;
+  hdr.group_index = s.g;
+  hdr.slot = s.slot;
+  hdr.seq_in_slot = s.seq;
+  hdr.packets_in_slot = s.count;
+  hdr.last_in_slot = (s.seq == s.count - 1);
+  hdr.upgrade_auth_mask = s.auth_mask;
   if (delta_ != nullptr) {
-    delta_->fill_fields(slot, g, seq, hdr.last_in_slot, hdr);
+    delta_->fill_fields(s.slot, s.g, s.seq, hdr.last_in_slot, hdr);
   }
   sim::packet p;
   p.size_bytes = cfg_.packet_bytes;
-  p.dst = sim::dest::to_group(cfg_.group(g));
+  p.dst = sim::dest::to_group(cfg_.group(s.g));
   p.ecn_capable = true;
-  if (sigma_tagging_) p.tag = sim::sigma_tag{cfg_.session_id, slot};
+  if (sigma_tagging_) p.tag = sim::sigma_tag{cfg_.session_id, s.slot};
   p.hdr = hdr;
   net_.get(host_)->send(std::move(p));
 }

@@ -18,6 +18,7 @@
 #include "flid/flid_receiver.h"
 #include "flid/flid_sender.h"
 #include "mcast/igmp.h"
+#include "sim/event_train.h"
 #include "sim/network.h"
 #include "sim/stats.h"
 
@@ -42,8 +43,7 @@ class replicated_sender {
 
  private:
   void begin_slot(std::int64_t slot);
-  void send_packet(std::int64_t slot, int g, int seq, int count,
-                   std::uint32_t auth_mask);
+  void send_packet(const slot_packet& s);
 
   sim::network& net_;
   sim::node_id host_;
@@ -52,6 +52,7 @@ class replicated_sender {
   bool sigma_tagging_ = false;
   bool sigma_protected_ = false;
   bool started_ = false;
+  sim::event_train<slot_packet> train_;  // the current slot's packets
 };
 
 /// Honest receiver for the replicated protocol over plain IGMP: one group at

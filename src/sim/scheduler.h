@@ -1,7 +1,10 @@
 // Discrete-event scheduler: a time-ordered queue of callbacks.
 //
 // Events at equal timestamps fire in scheduling order (FIFO tie-break via a
-// monotone sequence number) so runs are deterministic.
+// monotone sequence number) so runs are deterministic. reserve_seqs() hands
+// out a block of those numbers ahead of time; an event scheduled later under
+// a reserved number fires exactly where it would have fired had it been
+// scheduled at reservation time (sim::event_train builds on this).
 //
 // The hot path is allocation-lean: callbacks live in a slab of pooled slots
 // (recycled through a free list, addressed by generation-counted handles) and
@@ -179,6 +182,42 @@ struct event_pool {
 
 }  // namespace detail
 
+/// One tie-break sequence number reserved through scheduler::reserve_seqs().
+/// A default-constructed one names no number; scheduling at it throws.
+class reserved_seq {
+ public:
+  reserved_seq() = default;
+
+ private:
+  friend class seq_block;
+  friend class scheduler;
+  explicit reserved_seq(std::uint64_t value) : value_(value) {}
+
+  std::uint64_t value_ = std::numeric_limits<std::uint64_t>::max();
+};
+
+/// A run of consecutive tie-break sequence numbers handed out by
+/// scheduler::reserve_seqs(). Only the scheduler mints blocks, so no number
+/// drawn from one was ever given to an ordinary at() event.
+class seq_block {
+ public:
+  seq_block() = default;
+
+  /// The k-th number of the block.
+  [[nodiscard]] reserved_seq operator[](std::size_t k) const {
+    util::require(k < size_, "scheduler: sequence number was not reserved");
+    return reserved_seq(first_ + k);
+  }
+
+ private:
+  friend class scheduler;
+  seq_block(std::uint64_t first, std::size_t size)
+      : first_(first), size_(size) {}
+
+  std::uint64_t first_ = 0;
+  std::size_t size_ = 0;
+};
+
 /// Handle to a scheduled event; allows cancellation. Default-constructed
 /// handles are inert, and handles may outlive the scheduler.
 class event_handle {
@@ -246,31 +285,33 @@ class scheduler {
   /// Schedules `fn` at absolute time `at` (must not be in the past).
   event_handle at(time_ns when, event_fn fn) {
     util::require(when >= now_, "scheduler: event scheduled in the past");
-    std::uint32_t idx;
-    if (!pool_->free_list.empty()) {
-      idx = pool_->free_list.back();
-      pool_->free_list.pop_back();
-    } else {
-      idx = static_cast<std::uint32_t>(pool_->slots.size());
-      pool_->slots.emplace_back();
-    }
-    detail::event_slot& slot = pool_->slots[idx];
-    slot.cancelled = false;
-    slot.fn = std::move(fn);
-    const entry e{when, next_seq_++, idx};
-    if (wheel_ != nullptr) {
-      wheel_push(e);
-    } else {
-      heap_push(e);
-    }
-    const std::size_t pending = heap_.size() + wheel_count_;
-    if (pending > max_pending_) max_pending_ = pending;
-    return event_handle(pool_, idx, slot.gen);
+    return push_event(when, next_seq_++, std::move(fn));
   }
 
   /// Schedules `fn` after a relative delay.
   event_handle after(time_ns delay, event_fn fn) {
     return at(now_ + delay, std::move(fn));
+  }
+
+  /// Hands out the next `n` tie-break sequence numbers — exactly the ones
+  /// the next n at() calls would have taken — for events scheduled later
+  /// through at(when, reserved_seq, fn).
+  seq_block reserve_seqs(std::size_t n) {
+    const seq_block block(next_seq_, n);
+    next_seq_ += n;
+    return block;
+  }
+
+  /// Schedules `fn` at `when` under a sequence number reserved earlier. It
+  /// fires exactly where an at(when, fn) call made at reservation time would
+  /// have fired it: among equal-time events, after those scheduled before
+  /// the reservation and before those scheduled after it. Schedule each
+  /// reserved number at most once.
+  event_handle at(time_ns when, reserved_seq seq, event_fn fn) {
+    util::require(seq.value_ < next_seq_,
+                  "scheduler: sequence number was not reserved");
+    util::require(when >= now_, "scheduler: event scheduled in the past");
+    return push_event(when, seq.value_, std::move(fn));
   }
 
   /// Runs events until the queue drains or simulated time would pass `until`.
@@ -355,6 +396,30 @@ class scheduler {
   };
   static bool before(const entry& a, const entry& b) {
     return a.when < b.when || (a.when == b.when && a.seq < b.seq);
+  }
+
+  /// Parks `fn` in a slab slot and queues it under (when, seq).
+  event_handle push_event(time_ns when, std::uint64_t seq, event_fn fn) {
+    std::uint32_t idx;
+    if (!pool_->free_list.empty()) {
+      idx = pool_->free_list.back();
+      pool_->free_list.pop_back();
+    } else {
+      idx = static_cast<std::uint32_t>(pool_->slots.size());
+      pool_->slots.emplace_back();
+    }
+    detail::event_slot& slot = pool_->slots[idx];
+    slot.cancelled = false;
+    slot.fn = std::move(fn);
+    const entry e{when, seq, idx};
+    if (wheel_ != nullptr) {
+      wheel_push(e);
+    } else {
+      heap_push(e);
+    }
+    const std::size_t pending = heap_.size() + wheel_count_;
+    if (pending > max_pending_) max_pending_ = pending;
+    return event_handle(pool_, idx, slot.gen);
   }
 
   /// Pops the globally least (when, seq) entry with when <= limit into `out`;

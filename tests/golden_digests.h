@@ -1,6 +1,7 @@
 // Shared golden-digest machinery: the FNV-1a fold, the hashing packet sink,
 // and the pinned scenario digests (per-qdisc raw engine, pulse attack,
-// adaptive pulse, and the sender-side farm and replicated worlds). golden_trace_test pins these against checked-in constants;
+// adaptive pulse, and the sender-side farm and replicated worlds).
+// golden_trace_test pins these against checked-in constants;
 // cm_test re-runs the same worlds with the shared congestion manager on to
 // prove the cm-off path (and the single-session cm-on path) is byte-identical.
 //
@@ -295,7 +296,8 @@ inline std::string fold_world(
 /// An 8-session FLID-DS farm sharing one bottleneck with the congestion
 /// manager on, session 0 inflating its subscription at 10 s: every FLID
 /// sender's slot pacing and every SIGMA control emitter run in one world.
-inline std::string run_sender_farm_digest(sim::scheduler_config sched_cfg = {}) {
+inline std::string run_sender_farm_digest(
+    sim::scheduler_config sched_cfg = {}) {
   constexpr int sessions = 8;
   const sim::time_ns attack_at = sim::seconds(10.0);
   const sim::time_ns horizon = sim::seconds(30.0);
@@ -308,7 +310,8 @@ inline std::string run_sender_farm_digest(sim::scheduler_config sched_cfg = {}) 
   exp::receiver_options attacker;
   attacker.at = "r";
   attacker.attack = mcc::adversary::inflate_once(attack_at);
-  exp::flid_session& rogue = tb.add_flid_session(exp::flid_mode::ds, {attacker});
+  exp::flid_session& rogue =
+      tb.add_flid_session(exp::flid_mode::ds, {attacker});
   exp::receiver_options neighbour;
   neighbour.at = "r";
   const std::vector<exp::flid_session*> honest =

@@ -5,9 +5,11 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "crypto/prng.h"
+#include "sim/event_train.h"
 
 namespace mcc::sim {
 namespace {
@@ -408,6 +410,131 @@ TEST(scheduler_wheel, randomized_equivalence_with_heap) {
 TEST(scheduler_wheel, rejects_nonpositive_granularity) {
   scheduler_config cfg = wheel_cfg(0);
   EXPECT_THROW(scheduler s(cfg), util::invariant_error);
+}
+
+// ---------------------------------------------------------------------------
+// Reserved sequence numbers and packet trains
+// ---------------------------------------------------------------------------
+
+TEST(scheduler_reserved, reserved_number_keeps_its_place_in_the_tie_order) {
+  scheduler s;
+  std::vector<int> order;
+  s.at(milliseconds(5), [&] { order.push_back(0); });
+  const seq_block block = s.reserve_seqs(2);
+  s.at(milliseconds(5), [&] { order.push_back(3); });
+  // Scheduled last and out of order, the reserved pair still fires where
+  // two at() calls made at reservation time would have.
+  s.at(milliseconds(5), block[1], [&] { order.push_back(2); });
+  s.at(milliseconds(5), block[0], [&] { order.push_back(1); });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(scheduler_reserved, rejects_unreserved_numbers_and_the_past) {
+  scheduler s;
+  const seq_block block = s.reserve_seqs(2);
+  EXPECT_THROW(s.at(milliseconds(1), reserved_seq{}, [] {}),
+               util::invariant_error);
+  EXPECT_THROW(s.at(milliseconds(1), block[2], [] {}), util::invariant_error);
+  EXPECT_THROW(s.at(milliseconds(1), seq_block{}[0], [] {}),
+               util::invariant_error);
+  s.run_until(milliseconds(10));
+  EXPECT_THROW(s.at(milliseconds(5), block[0], [] {}), util::invariant_error);
+  EXPECT_EQ(s.pending_events(), 0u);
+}
+
+TEST(event_train, destroying_a_train_cancels_its_queued_head) {
+  scheduler s;
+  int fired = 0;
+  {
+    event_train<int> train(s, [&](int&) { ++fired; });
+    train.add(milliseconds(1), 1);
+    train.add(milliseconds(2), 2);
+    train.launch();
+    EXPECT_EQ(s.pending_events(), 1u);
+  }
+  s.run();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(s.executed_events(), 0u);
+}
+
+/// A seeded world of ordinary events and batches of items. Items and
+/// events sit on a coarse time grid, so equal-time ties between train
+/// items, other trains' items, and unrelated events are common; batches
+/// land on trains that still hold items of earlier batches; and some items
+/// schedule follow-ups at the current time. With `trains` on, every batch
+/// rides one of a few event_trains; with it off, every item is
+/// pre-scheduled with at() when its batch is issued. Returns the fire log.
+std::vector<std::uint64_t> train_world_fire_order(scheduler_config cfg,
+                                                  std::uint64_t seed,
+                                                  bool trains,
+                                                  std::uint64_t* executed) {
+  constexpr time_ns grid = 1000;
+  constexpr int kTrains = 3;
+  scheduler s(cfg);
+  crypto::prng rng(seed);
+  std::vector<std::uint64_t> log;
+  std::uint64_t next_id = 0;
+
+  const auto on_item = [&](std::uint64_t id) {
+    log.push_back(id);
+    if (id % 4 == 0) {
+      const std::uint64_t follow = next_id++;
+      s.at(s.now() + grid * static_cast<time_ns>(id % 3),
+           [&log, follow] { log.push_back(follow); });
+    }
+  };
+  std::vector<std::unique_ptr<event_train<std::uint64_t>>> lines;
+  for (int t = 0; t < kTrains; ++t) {
+    lines.push_back(std::make_unique<event_train<std::uint64_t>>(
+        s, [&](std::uint64_t& id) { on_item(id); }));
+  }
+  const auto issue_batch = [&](std::size_t line) {
+    const auto n = rng.uniform_int(1, 12);
+    for (std::int64_t k = 0; k < n; ++k) {
+      const time_ns when = s.now() + grid * rng.uniform_int(0, 20);
+      const std::uint64_t id = next_id++;
+      if (trains) {
+        lines[line]->add(when, id);
+      } else {
+        s.at(when, [&on_item, id] { on_item(id); });
+      }
+    }
+    if (trains) lines[line]->launch();
+  };
+  for (int i = 0; i < 400; ++i) {
+    const time_ns when = grid * rng.uniform_int(0, 500);
+    const std::uint64_t id = next_id++;
+    s.at(when, [&, id, i] {
+      log.push_back(id);
+      if (i % 3 != 2) issue_batch(static_cast<std::size_t>(i) % kTrains);
+    });
+  }
+  s.run();
+  *executed = s.executed_events();
+  return log;
+}
+
+TEST(event_train, fires_exactly_like_pre_scheduling_under_both_policies) {
+  for (std::uint64_t seed : {3ULL, 17ULL, 0xfeedULL, 0xc0ffeeULL}) {
+    std::uint64_t ref_executed = 0;
+    const auto reference =
+        train_world_fire_order({}, seed, false, &ref_executed);
+    ASSERT_GT(reference.size(), 2000u) << "seed " << seed;
+    for (const scheduler_config& cfg :
+         {scheduler_config{}, wheel_cfg(), wheel_cfg(microseconds(100))}) {
+      std::uint64_t executed = 0;
+      EXPECT_EQ(train_world_fire_order(cfg, seed, true, &executed), reference)
+          << "seed " << seed << " policy " << sched_policy_name(cfg.policy)
+          << " granularity " << cfg.wheel_granularity;
+      EXPECT_EQ(executed, ref_executed) << "seed " << seed;
+      std::uint64_t wheel_ref_executed = 0;
+      EXPECT_EQ(train_world_fire_order(cfg, seed, false, &wheel_ref_executed),
+                reference)
+          << "seed " << seed << " pre-scheduled under "
+          << sched_policy_name(cfg.policy);
+    }
+  }
 }
 
 TEST(time_helpers, conversions_are_consistent) {
