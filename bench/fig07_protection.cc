@@ -18,11 +18,6 @@
 
 using namespace mcc;
 
-namespace {
-// --sched: every simulated world this bench builds runs the chosen policy.
-sim::scheduler_config g_sched;
-}  // namespace
-
 int main(int argc, char** argv) {
   util::flag_set flags("Figure 7: FLID-DS under the inflated-subscription attack");
   flags.add("duration", "200", "experiment length, seconds");
@@ -32,9 +27,7 @@ int main(int argc, char** argv) {
   flags.add("seed", "7", "simulation seed");
   exp::add_interface_keying_flag(flags);
   exp::add_sweep_flags(flags);
-  exp::add_sched_flag(flags);
   if (!flags.parse(argc, argv)) return 1;
-  g_sched = exp::sched_config_from_flags(flags);
 
   const double duration = flags.f64("duration");
   const double inflate_at_s = flags.f64("inflate_at");
@@ -65,7 +58,6 @@ int main(int argc, char** argv) {
         obs::trace_buffer tb;
         obs::trace_scope scope(tracing ? &tb : nullptr);
         exp::dumbbell_config cfg;
-        cfg.sched = g_sched;
         cfg.bottleneck_bps = 1e6;
         cfg.seed = pt.seed;
         cfg.interface_keying = keying;

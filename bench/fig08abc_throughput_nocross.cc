@@ -23,11 +23,6 @@
 using namespace mcc;
 
 namespace {
-// --sched: every simulated world this bench builds runs the chosen policy.
-sim::scheduler_config g_sched;
-}  // namespace
-
-namespace {
 
 struct run_result {
   exp::series individual_kbps;  // x = receiver number (1-based)
@@ -37,7 +32,6 @@ struct run_result {
 run_result run(exp::flid_mode mode, int sessions, double duration_s,
                std::uint64_t seed) {
   exp::dumbbell_config cfg;
-  cfg.sched = g_sched;
   cfg.bottleneck_bps = 250e3 * sessions;
   cfg.seed = seed;
   exp::testbed d(exp::dumbbell(cfg));
@@ -81,9 +75,7 @@ int main(int argc, char** argv) {
   flags.add("max_sessions", "18", "largest session count");
   flags.add("seed", "11", "simulation seed");
   exp::add_sweep_flags(flags);
-  exp::add_sched_flag(flags);
   if (!flags.parse(argc, argv)) return 1;
-  g_sched = exp::sched_config_from_flags(flags);
 
   const double duration = flags.f64("duration");
   const auto opts = exp::sweep_options_from_flags(

@@ -23,11 +23,6 @@
 using namespace mcc;
 
 namespace {
-// --sched: every simulated world this bench builds runs the chosen policy.
-sim::scheduler_config g_sched;
-}  // namespace
-
-namespace {
 
 struct run_result {
   double avg_kbps = 0.0;
@@ -40,7 +35,6 @@ run_result run(exp::flid_mode mode, int sessions, double duration_s,
                std::uint64_t seed, const sim::aqm_config& aqm,
                bool want_trace) {
   exp::dumbbell_config cfg;
-  cfg.sched = g_sched;
   cfg.bottleneck_bps = 250e3 * (2 * sessions);
   cfg.seed = seed;
   cfg.aqm = aqm;
@@ -89,9 +83,7 @@ int main(int argc, char** argv) {
   flags.add("repeats", "3", "seeds averaged per data point");
   exp::add_aqm_flags(flags);
   exp::add_sweep_flags(flags);
-  exp::add_sched_flag(flags);
   if (!flags.parse(argc, argv)) return 1;
-  g_sched = exp::sched_config_from_flags(flags);
 
   const double duration = flags.f64("duration");
   const int repeats = static_cast<int>(flags.i64("repeats"));

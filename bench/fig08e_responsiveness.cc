@@ -18,15 +18,9 @@
 using namespace mcc;
 
 namespace {
-// --sched: every simulated world this bench builds runs the chosen policy.
-sim::scheduler_config g_sched;
-}  // namespace
-
-namespace {
 
 exp::series run(exp::flid_mode mode, double duration_s, std::uint64_t seed) {
   exp::dumbbell_config cfg;
-  cfg.sched = g_sched;
   cfg.bottleneck_bps = 1.25e6;
   cfg.seed = seed;
   exp::testbed d(exp::dumbbell(cfg));
@@ -58,9 +52,7 @@ int main(int argc, char** argv) {
   flags.add("duration", "100", "experiment length, seconds");
   flags.add("seed", "17", "simulation seed");
   exp::add_sweep_flags(flags);
-  exp::add_sched_flag(flags);
   if (!flags.parse(argc, argv)) return 1;
-  g_sched = exp::sched_config_from_flags(flags);
 
   const double duration = flags.f64("duration");
   const auto opts = exp::sweep_options_from_flags(

@@ -16,15 +16,9 @@
 using namespace mcc;
 
 namespace {
-// --sched: every simulated world this bench builds runs the chosen policy.
-sim::scheduler_config g_sched;
-}  // namespace
-
-namespace {
 
 exp::series run(exp::flid_mode mode, double duration_s, std::uint64_t seed) {
   exp::dumbbell_config cfg;
-  cfg.sched = g_sched;
   cfg.bottleneck_bps = 250e3;
   cfg.bottleneck_delay = sim::milliseconds(5);
   cfg.seed = seed;
@@ -62,9 +56,7 @@ int main(int argc, char** argv) {
   flags.add("duration", "200", "experiment length, seconds");
   flags.add("seed", "19", "simulation seed");
   exp::add_sweep_flags(flags);
-  exp::add_sched_flag(flags);
   if (!flags.parse(argc, argv)) return 1;
-  g_sched = exp::sched_config_from_flags(flags);
 
   const double duration = flags.f64("duration");
   const auto opts = exp::sweep_options_from_flags(

@@ -14,19 +14,12 @@
 
 using namespace mcc;
 
-namespace {
-// --sched: every simulated world this bench builds runs the chosen policy.
-sim::scheduler_config g_sched;
-}  // namespace
-
 int main(int argc, char** argv) {
   util::flag_set flags("Figure 8(g)/(h): subscription convergence with staggered joins");
   flags.add("duration", "40", "experiment length, seconds");
   flags.add("seed", "23", "simulation seed");
   exp::add_sweep_flags(flags);
-  exp::add_sched_flag(flags);
   if (!flags.parse(argc, argv)) return 1;
-  g_sched = exp::sched_config_from_flags(flags);
 
   const double duration = flags.f64("duration");
   const auto opts = exp::sweep_options_from_flags(
@@ -38,7 +31,6 @@ int main(int argc, char** argv) {
         const auto mode =
             pt.index == 0 ? exp::flid_mode::dl : exp::flid_mode::ds;
         exp::dumbbell_config cfg;
-        cfg.sched = g_sched;
         cfg.bottleneck_bps = 250e3;
         cfg.seed = pt.seed;
         exp::testbed d(exp::dumbbell(cfg));

@@ -23,11 +23,6 @@
 using namespace mcc;
 
 namespace {
-// --sched: every simulated world this bench builds runs the chosen policy.
-sim::scheduler_config g_sched;
-}  // namespace
-
-namespace {
 
 struct point_result {
   double analytic_delta;
@@ -39,7 +34,6 @@ struct point_result {
 point_result run(int num_groups, double slot_seconds, double duration_s,
                  std::uint64_t seed) {
   exp::dumbbell_config cfg;
-  cfg.sched = g_sched;
   cfg.bottleneck_bps = 10e6;  // uncongested: overhead is a sender property
   cfg.seed = seed;
   exp::testbed d(exp::dumbbell(cfg));
@@ -106,9 +100,7 @@ int main(int argc, char** argv) {
   flags.add("duration", "30", "seconds simulated per point");
   flags.add("seed", "29", "simulation seed");
   exp::add_sweep_flags(flags);
-  exp::add_sched_flag(flags);
   if (!flags.parse(argc, argv)) return 1;
-  g_sched = exp::sched_config_from_flags(flags);
   const double duration = flags.f64("duration");
   const auto opts = exp::sweep_options_from_flags(
       flags, static_cast<std::uint64_t>(flags.i64("seed")));

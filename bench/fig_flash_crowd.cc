@@ -53,11 +53,6 @@
 using namespace mcc;
 
 namespace {
-// --sched: every simulated world this bench builds runs the chosen policy.
-sim::scheduler_config g_sched;
-}  // namespace
-
-namespace {
 
 /// Every topology's contested links run at this rate; the containment
 /// bound's fair-share floor is derived from it below.
@@ -83,7 +78,6 @@ exp::testbed_config make_config(const std::string& topo, std::uint64_t seed,
   aqm.discipline = queue;
   if (topo == "dumbbell") {
     exp::dumbbell_config cfg;
-    cfg.sched = g_sched;
     cfg.bottleneck_bps = path_bps;
     cfg.seed = seed;
     cfg.aqm = aqm;
@@ -93,7 +87,6 @@ exp::testbed_config make_config(const std::string& topo, std::uint64_t seed,
   }
   if (topo == "parking_lot") {
     exp::parking_lot_config cfg;
-    cfg.sched = g_sched;
     cfg.bottlenecks = 2;
     cfg.bottleneck_bps = path_bps;
     cfg.seed = seed;
@@ -104,7 +97,6 @@ exp::testbed_config make_config(const std::string& topo, std::uint64_t seed,
   }
   if (topo == "star") {
     exp::star_config cfg;
-    cfg.sched = g_sched;
     cfg.spoke_bps = path_bps;
     cfg.seed = seed;
     cfg.aqm = aqm;
@@ -114,7 +106,6 @@ exp::testbed_config make_config(const std::string& topo, std::uint64_t seed,
   }
   if (topo == "tree") {
     exp::tree_config cfg;
-    cfg.sched = g_sched;
     cfg.depth = 2;
     cfg.fanout = 2;
     cfg.edge_bps = path_bps;
@@ -159,9 +150,7 @@ int main(int argc, char** argv) {
   exp::add_probation_memory_flag(flags, "off");
   exp::add_aqm_flags(flags);
   exp::add_sweep_flags(flags);
-  exp::add_sched_flag(flags);
   if (!flags.parse(argc, argv)) return 1;
-  g_sched = exp::sched_config_from_flags(flags);
 
   const double duration = flags.f64("duration");
   const double attack_at_s = flags.f64("attack-at");

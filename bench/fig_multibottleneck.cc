@@ -32,16 +32,10 @@
 using namespace mcc;
 
 namespace {
-// --sched: every simulated world this bench builds runs the chosen policy.
-sim::scheduler_config g_sched;
-}  // namespace
-
-namespace {
 
 exp::sweep_row run(exp::flid_mode mode, double duration_s, double inflate_at_s,
                    std::uint64_t seed, const sim::aqm_config& aqm) {
   exp::parking_lot_config cfg;
-  cfg.sched = g_sched;
   cfg.bottlenecks = 2;
   cfg.bottleneck_bps = 1e6;
   cfg.seed = seed;
@@ -131,9 +125,7 @@ int main(int argc, char** argv) {
   flags.add("seed", "47", "simulation seed");
   exp::add_aqm_flags(flags);
   exp::add_sweep_flags(flags);
-  exp::add_sched_flag(flags);
   if (!flags.parse(argc, argv)) return 1;
-  g_sched = exp::sched_config_from_flags(flags);
 
   const double duration = flags.f64("duration");
   const double inflate_at = flags.f64("inflate_at");

@@ -42,8 +42,6 @@
 using namespace mcc;
 
 namespace {
-// --sched: every simulated world this bench builds runs the chosen policy.
-sim::scheduler_config g_sched;
 
 struct site_plan {
   std::string shared;  // the contested edge every session's receiver sits at
@@ -87,7 +85,6 @@ exp::testbed_config make_config(const std::string& topo, std::uint64_t seed,
   aqm.discipline = queue;
   if (topo == "dumbbell") {
     exp::dumbbell_config cfg;
-    cfg.sched = g_sched;
     cfg.bottleneck_bps = path_bps;
     cfg.seed = seed;
     cfg.aqm = aqm;
@@ -98,7 +95,6 @@ exp::testbed_config make_config(const std::string& topo, std::uint64_t seed,
   }
   if (topo == "parking_lot") {
     exp::parking_lot_config cfg;
-    cfg.sched = g_sched;
     cfg.bottlenecks = 2;
     cfg.bottleneck_bps = path_bps;
     cfg.seed = seed;
@@ -143,9 +139,7 @@ int main(int argc, char** argv) {
   exp::add_cm_flags(flags, "both");
   exp::add_aqm_flags(flags);
   exp::add_sweep_flags(flags);
-  exp::add_sched_flag(flags);
   if (!flags.parse(argc, argv)) return 1;
-  g_sched = exp::sched_config_from_flags(flags);
 
   const double duration = flags.f64("duration");
   const double attack_at_s = flags.f64("attack-at");

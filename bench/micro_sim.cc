@@ -61,55 +61,6 @@ static void bm_event_cancellation(benchmark::State& state) {
 }
 BENCHMARK(bm_event_cancellation);
 
-static void bm_wheel_vs_heap_pending(benchmark::State& state) {
-  // A/B for the --sched policies: hold `pending` events in the queue, then
-  // fire them all. Deadlines come from an LCG spread over ~16 s of simulated
-  // time so the heap's log(n) sift and the wheel's bucket scan both see a
-  // realistic mix; the schedule is identical under either policy. The wheel
-  // should pull ahead of the heap once pending counts pass ~100k.
-  const auto pending = state.range(0);
-  const bool wheel = state.range(1) != 0;
-  sim::scheduler_config cfg;
-  cfg.policy = wheel ? sim::sched_policy::wheel : sim::sched_policy::heap;
-  const auto window = static_cast<std::uint64_t>(sim::seconds(16.0));
-  for (auto _ : state) {
-    sim::scheduler s(cfg);
-    std::uint64_t x = 0x9e3779b97f4a7c15ull;
-    for (std::int64_t i = 0; i < pending; ++i) {
-      x = x * 6364136223846793005ull + 1442695040888963407ull;
-      s.at(static_cast<sim::time_ns>(x % window), [] {});
-    }
-    s.run();
-    benchmark::DoNotOptimize(s.executed_events());
-  }
-  state.SetItemsProcessed(state.iterations() * pending);
-  state.SetLabel(wheel ? "wheel" : "heap");
-}
-BENCHMARK(bm_wheel_vs_heap_pending)
-    ->ArgsProduct({{1000, 10000, 100000, 1000000}, {0, 1}});
-
-static void bm_cascade_rollover(benchmark::State& state) {
-  // Worst case for the wheel: every deadline sits beyond the top level's
-  // rotation (2^42 ns at the default 1024 ns granularity), so firing it
-  // costs a far-wheel cascade plus a descent through all four levels.
-  // Guards the O(1)-amortized claim where it is weakest.
-  sim::scheduler_config cfg;
-  cfg.policy = sim::sched_policy::wheel;
-  const sim::time_ns span = sim::time_ns{1} << 42;
-  const auto n = state.range(0);
-  for (auto _ : state) {
-    sim::scheduler s(cfg);
-    for (std::int64_t i = 0; i < n; ++i) {
-      const sim::time_ns rotation = 1 + (i % 64);
-      s.at(rotation * span + (i * 977) % span, [] {});
-    }
-    s.run();
-    benchmark::DoNotOptimize(s.executed_events());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(bm_cascade_rollover)->Arg(50000);
-
 static void bm_multicast_fanout(benchmark::State& state) {
   // Cost of one router fanning a multicast data packet out to N receivers.
   // Packets carry a threshold-DELTA style share payload, so the per-branch
@@ -196,8 +147,7 @@ static void bm_attack_scenario(benchmark::State& state) {
     cfg.bottleneck_bps = 1e6;
     exp::testbed d(exp::dumbbell(cfg));
     exp::receiver_options attacker;
-    attacker.inflate = true;
-    attacker.inflate_at = sim::seconds(10.0);
+    attacker.attack = adversary::inflate_once(sim::seconds(10.0));
     d.add_flid_session(exp::flid_mode::ds, {attacker});
     d.add_flid_session(exp::flid_mode::ds, {exp::receiver_options{}});
     d.add_tcp_flow();

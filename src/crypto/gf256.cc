@@ -5,53 +5,24 @@
 namespace mcc::crypto::gf256 {
 
 namespace {
-std::array<std::uint8_t, 256> g_log;
-std::array<std::uint8_t, 512> g_exp;
-bool g_ready = false;
+constexpr const auto& g_log = detail::k_tables.log;
+constexpr const auto& g_exp = detail::k_tables.exp;
 }  // namespace
-
-void init() {
-  if (g_ready) return;
-  // Generator 3 of GF(256) with the AES reduction polynomial.
-  int x = 1;
-  for (int i = 0; i < 255; ++i) {
-    g_exp[static_cast<std::size_t>(i)] = static_cast<std::uint8_t>(x);
-    g_log[static_cast<std::size_t>(x)] = static_cast<std::uint8_t>(i);
-    // Multiply x by the generator 0x03 = x + 1.
-    int shifted = x << 1;
-    if (shifted & 0x100) shifted ^= 0x11b;
-    x = shifted ^ x;
-  }
-  for (int i = 255; i < 512; ++i) {
-    g_exp[static_cast<std::size_t>(i)] = g_exp[static_cast<std::size_t>(i - 255)];
-  }
-  g_log[0] = 0;  // Unused; guarded by callers.
-  g_ready = true;
-}
-
-std::uint8_t mul(std::uint8_t a, std::uint8_t b) {
-  if (a == 0 || b == 0) return 0;
-  init();
-  return g_exp[static_cast<std::size_t>(g_log[a]) + g_log[b]];
-}
 
 std::uint8_t div(std::uint8_t a, std::uint8_t b) {
   util::require(b != 0, "gf256::div by zero");
   if (a == 0) return 0;
-  init();
   return g_exp[static_cast<std::size_t>(g_log[a]) + 255 - g_log[b]];
 }
 
 std::uint8_t inv(std::uint8_t a) {
   util::require(a != 0, "gf256::inv of zero");
-  init();
   return g_exp[static_cast<std::size_t>(255 - g_log[a])];
 }
 
 std::uint8_t pow(std::uint8_t base, int exp) {
   if (exp == 0) return 1;
   util::require(base != 0, "gf256::pow of zero base");
-  init();
   const int e = ((g_log[base] * exp) % 255 + 255) % 255;
   return g_exp[static_cast<std::size_t>(e)];
 }

@@ -51,7 +51,6 @@ rs_code::rs_code(int data_shards, int parity_shards)
   util::require(k_ >= 1, "rs_code: need at least one data shard");
   util::require(m_ >= 0, "rs_code: parity count must be non-negative");
   util::require(k_ + m_ <= 255, "rs_code: k + m must fit in GF(256)");
-  gf256::init();
   vand_.assign(static_cast<std::size_t>(m_),
                std::vector<std::uint8_t>(static_cast<std::size_t>(k_), 0));
   // Row i evaluates the data polynomial at point alpha^(k + i); combined with

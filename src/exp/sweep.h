@@ -43,28 +43,19 @@ struct sweep_point {
 
 struct sweep_options {
   int jobs = 1;  // worker threads (values < 1 behave like 1)
-  /// When > 0, the grid is sharded across forked worker *processes*, each
-  /// running `jobs_per_process` threads against its own slab pools (so wide
-  /// grids scale past allocator contention). Enough processes are forked to
-  /// reach max(jobs, jobs_per_process) total workers. Rows travel back over
-  /// a pipe in raw IEEE-754 bytes, so merged output stays byte-identical to
-  /// `--jobs 1`. A worker that dies mid-shard is a loud error, never a
-  /// truncated result. 0 = in-process threads only.
-  int jobs_per_process = 0;
   std::uint64_t base_seed = 1;
 };
 
 /// Registers the sweep-standard flags on a bench's flag set:
-///   --jobs N              worker threads for the parameter grid
-///   --jobs-per-process N  fork workers, N threads each (0 = in-process)
-///   --json PATH           also write machine-readable results to PATH
-///   --trace PATH          write the deterministic event trace to PATH
-///                         (convert with tools/trace2perfetto.py)
-///   --profile BOOL        add a wall-clock self-profiling block to --json
-///                         (off by default: wall clock is environment noise,
-///                         and CI cmp's BENCH files byte-for-byte)
-///   --log-level L         debug|info|warn|error|off; empty (the default)
-///                         falls back to MCC_LOG_LEVEL, else keeps "warn"
+///   --jobs N        worker threads for the parameter grid
+///   --json PATH     also write machine-readable results to PATH
+///   --trace PATH    write the deterministic event trace to PATH
+///                   (convert with tools/trace2perfetto.py)
+///   --profile BOOL  add a wall-clock self-profiling block to --json
+///                   (off by default: wall clock is environment noise, and
+///                   CI cmp's BENCH files byte-for-byte)
+///   --log-level L   debug|info|warn|error|off; empty (the default) falls
+///                   back to MCC_LOG_LEVEL, else keeps "warn"
 void add_sweep_flags(util::flag_set& flags);
 
 /// Reads the standard flags back; `base_seed` is the bench's own seed flag.
@@ -93,10 +84,9 @@ struct sweep_row {
   std::vector<std::pair<std::string, series>> traces;
   /// Engine-metrics snapshot of the point's world (obs::registry::snapshot),
   /// serialized as the row's "metrics" object under schema_version 2.
-  /// Deterministic — identical across --jobs / --jobs-per-process.
+  /// Deterministic — identical across --jobs.
   obs::metric_snapshot metrics;
-  /// Serialized obs::trace_buffer segment ("" = tracing off). Travels over
-  /// the forked-worker pipe like every other field and is merged in row
+  /// Serialized obs::trace_buffer segment ("" = tracing off). Merged in row
   /// order by maybe_write_trace, so the trace file is jobs-invariant too.
   std::string trace_blob;
 
@@ -132,10 +122,7 @@ struct sweep_profile {
   /// snapshots it) and the derived whole-run event throughput.
   double events_executed = 0.0;
   double events_per_sec = 0.0;
-  /// Per-point wall time, milliseconds. Only in-process points observe into
-  /// it: forked --jobs-per-process workers keep their clocks to themselves
-  /// (per-point timings would have to cross the pipe as nondeterministic
-  /// payload), so under forking the histogram stays empty.
+  /// Per-point wall time, milliseconds.
   obs::histogram point_ms{
       {1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0, 10000.0, 30000.0}};
 };
@@ -170,8 +157,8 @@ void maybe_write_json(const util::flag_set& flags, const std::string& bench,
 
 /// Honors a bench's --trace flag: empty value = no-op, otherwise writes the
 /// rows' trace blobs to the named file in row order ("MCCT" container; see
-/// docs/observability.md), byte-identical across --jobs and
-/// --jobs-per-process. Rows without a blob are skipped.
+/// docs/observability.md), byte-identical across --jobs. Rows without a
+/// blob are skipped.
 void maybe_write_trace(const util::flag_set& flags,
                        const std::vector<sweep_row>& rows);
 

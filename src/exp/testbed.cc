@@ -14,20 +14,8 @@ std::int64_t queue_bytes(double bps, double bdp, sim::time_ns rtt) {
 }
 }  // namespace
 
-adversary::profile receiver_options::effective_profile() const {
-  if (attack.attacks()) {
-    util::require(!inflate,
-                  "receiver_options: set either .attack or the legacy "
-                  "inflate fields, not both");
-    return attack;
-  }
-  if (!inflate) return attack;
-  return adversary::inflate_once(inflate_at, attack_keys, inflate_level);
-}
-
 testbed::testbed(testbed_config cfg)
     : cfg_(std::move(cfg)),
-      sched_(cfg_.sched),
       net_(sched_),
       seed_state_(cfg_.seed) {
   util::require(!cfg_.topology.empty(), "testbed: empty topology");
@@ -214,10 +202,9 @@ flid_session& testbed::add_flid_session(
     const sim::node_id rh = attach_host(
         "mc_rcv_" + std::to_string(sid) + "_" + std::to_string(ridx++), site,
         cfg_.access_bps, opt.access_delay.value_or(cfg_.access_delay));
-    const adversary::profile prof = opt.effective_profile();
     auto receiver = std::make_unique<flid::flid_receiver>(
         net_, rh, topo_.node(site), cfg,
-        adversary::make_strategy(proto, prof, actx));
+        adversary::make_strategy(proto, opt.attack, actx));
     if (cm_ != nullptr) {
       // Register the session under the receiver's aggregated edge path and
       // wire the data plane before start() latches the receiver's state.
@@ -226,7 +213,7 @@ flid_session& testbed::add_flid_session(
       receiver->set_congestion_path(cm_.get(), path);
     }
     receiver->start(opt.start_time);
-    if (prof.attacks()) {
+    if (opt.attack.attacks()) {
       // Attacker-spend views (adversary::measure_cost reads the receiver's
       // live counters at snapshot time). Honest receivers register nothing:
       // their cost is all zeros and would only bloat the snapshots.
@@ -397,19 +384,6 @@ void testbed::register_scheduler_metrics() {
   metrics_.add_view("sched.slots_high_water", {}, [s] {
     return static_cast<double>(s->slots_high_water());
   });
-  if (cfg_.sched.policy == sim::sched_policy::wheel) {
-    const std::size_t levels = sched_.profile_now().wheel_occupied.size();
-    for (std::size_t l = 0; l < levels; ++l) {
-      metrics_.add_view("sched.wheel_occupied",
-                        {{"level", std::to_string(l)}}, [s, l] {
-                          return static_cast<double>(
-                              s->profile_now().wheel_occupied[l]);
-                        });
-    }
-    metrics_.add_view("sched.wheel_far_entries", {}, [s] {
-      return static_cast<double>(s->profile_now().far_entries);
-    });
-  }
 }
 
 void testbed::register_edge_metrics(const std::string& site,
@@ -558,7 +532,6 @@ testbed_config scenario(sim::topology_builder topo, std::string sender_site,
   out.access_aqm = cfg.access_aqm;
   out.interface_keying = cfg.interface_keying;
   out.probation_memory_slots = cfg.probation_memory_slots;
-  out.sched = cfg.sched;
   out.cm = cfg.cm;
   out.cm_params = cfg.cm_params;
   out.seed = cfg.seed;
@@ -628,7 +601,7 @@ void add_aqm_flags(util::flag_set& flags) {
   flags.add_enum("qdisc", "droptail",
                  "queue discipline(s); comma lists sweep one grid axis per "
                  "entry",
-                 {"droptail", "ecn", "ecn_threshold", "red", "codel", "all"},
+                 {"droptail", "ecn", "red", "codel", "all"},
                  /*csv_list=*/true);
   flags.add("ecn-threshold", "0.5", "ecn: mark above this occupancy fraction");
   flags.add("red-min", "0.15", "red: min threshold, fraction of capacity");
@@ -767,29 +740,6 @@ cm::cm_config cm_config_from_flags(const util::flag_set& flags) {
     std::exit(1);
   }
   cfg.headroom = headroom;
-  return cfg;
-}
-
-void add_sched_flag(util::flag_set& flags) {
-  flags.add_enum("sched", "heap",
-                 "event-queue policy (identical results either way; wheel is "
-                 "O(1) per op at large pending counts)",
-                 {"heap", "wheel"});
-}
-
-sim::scheduler_config sched_config_from_flags(const util::flag_set& flags) {
-  const std::string name = flags.str("sched");
-  const auto policy = sim::sched_policy_from_name(name);
-  // add_enum validated the value at parse time; this only guards benches
-  // that set the flag programmatically.
-  if (!policy.has_value()) {
-    std::fprintf(stderr, "bad value for --sched: '%s' (expected heap or "
-                         "wheel)\n",
-                 name.c_str());
-    std::exit(1);
-  }
-  sim::scheduler_config cfg;
-  cfg.policy = *policy;
   return cfg;
 }
 

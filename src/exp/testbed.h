@@ -55,19 +55,6 @@ struct receiver_options {
   /// The receiver's (mis)behaviour: any adversary strategy, or honest (the
   /// default). See adversary::profile and its factories.
   adversary::profile attack;
-  /// DEPRECATED back-compat shim for the pre-adversary API: `inflate` et al
-  /// describe exactly adversary::inflate_once(inflate_at, attack_keys,
-  /// inflate_level). Setting both `inflate` and a non-honest `attack` is
-  /// rejected loudly. New code should use `attack`.
-  bool inflate = false;
-  sim::time_ns inflate_at = 0;
-  int inflate_level = 0;  // <= 0: all groups (DL mode)
-  core::misbehaving_sigma_strategy::key_mode attack_keys =
-      core::misbehaving_sigma_strategy::key_mode::guess;
-
-  /// The profile this receiver runs: `attack`, unless the legacy shim
-  /// fields are set, which translate to an inflate_once profile.
-  [[nodiscard]] adversary::profile effective_profile() const;
 };
 
 /// Placement of an aggregated receiver population (population::edge_aggregate
@@ -124,9 +111,6 @@ struct testbed_config {
   /// rejoins, and escalates the cutoff on repeated keyless rejoins.
   /// 0 (default) keeps the legacy wipe-on-unsubscribe behaviour.
   int probation_memory_slots = 0;
-  /// Event-queue policy of the testbed's scheduler (heap or timer wheel);
-  /// both fire the exact same event order, so results are policy-invariant.
-  sim::scheduler_config sched;
   /// Shared congestion manager across co-located sessions (src/cm): when on,
   /// the testbed owns one cm::congestion_manager, registers every FLID
   /// receiver's session under its aggregated edge path, and receivers cap
@@ -357,8 +341,6 @@ struct dumbbell_config {
   bool interface_keying = false;
   /// Router probation memory (testbed_config::probation_memory_slots).
   int probation_memory_slots = 0;
-  /// Event-queue policy (testbed_config::sched).
-  sim::scheduler_config sched;
   /// Shared congestion manager (testbed_config::cm / cm_params).
   bool cm = false;
   cm::cm_config cm_params;
@@ -383,7 +365,6 @@ struct parking_lot_config {
   sim::aqm_config access_aqm;  // access-link queue discipline (drop-tail)
   bool interface_keying = false;  // testbed_config::interface_keying
   int probation_memory_slots = 0;  // testbed_config::probation_memory_slots
-  sim::scheduler_config sched;    // testbed_config::sched
   bool cm = false;                // testbed_config::cm
   cm::cm_config cm_params;        // testbed_config::cm_params
 };
@@ -405,7 +386,6 @@ struct star_config {
   sim::aqm_config access_aqm;  // access-link queue discipline (drop-tail)
   bool interface_keying = false;  // testbed_config::interface_keying
   int probation_memory_slots = 0;  // testbed_config::probation_memory_slots
-  sim::scheduler_config sched;    // testbed_config::sched
   bool cm = false;                // testbed_config::cm
   cm::cm_config cm_params;        // testbed_config::cm_params
 };
@@ -429,7 +409,6 @@ struct tree_config {
   sim::aqm_config access_aqm;  // access-link queue discipline (drop-tail)
   bool interface_keying = false;  // testbed_config::interface_keying
   int probation_memory_slots = 0;  // testbed_config::probation_memory_slots
-  sim::scheduler_config sched;    // testbed_config::sched
   bool cm = false;                // testbed_config::cm
   cm::cm_config cm_params;        // testbed_config::cm_params
 };
@@ -528,18 +507,6 @@ void add_cm_flags(util::flag_set& flags, const char* def = "off");
 /// Decodes the --cm-* parameter flags into a cm_config, with the friendly
 /// bad-flag UX on out-of-range values.
 [[nodiscard]] cm::cm_config cm_config_from_flags(const util::flag_set& flags);
-
-/// Registers the shared scheduler-policy flag on a bench's flag set:
-///   --sched P   event-queue policy: heap | wheel. Both policies fire the
-///               exact same event order, so results and golden digests are
-///               policy-invariant; wheel is O(1) per op at large pending
-///               counts (see docs/performance.md).
-void add_sched_flag(util::flag_set& flags);
-
-/// Decodes --sched into a scheduler_config (parse-time enum validation means
-/// the value is already known good).
-[[nodiscard]] sim::scheduler_config sched_config_from_flags(
-    const util::flag_set& flags);
 
 /// Registers the shared population flags on a bench's flag set:
 ///   --population LIST  aggregated population size(s), comma-separated

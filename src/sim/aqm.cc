@@ -17,7 +17,7 @@ const char* qdisc_name(qdisc d) {
 
 std::optional<qdisc> qdisc_from_name(const std::string& name) {
   if (name == "droptail") return qdisc::droptail;
-  if (name == "ecn" || name == "ecn_threshold") return qdisc::ecn_threshold;
+  if (name == "ecn") return qdisc::ecn_threshold;
   if (name == "red") return qdisc::red;
   if (name == "codel") return qdisc::codel;
   return std::nullopt;

@@ -54,7 +54,7 @@ enum class qdisc {
 
 /// Canonical flag spelling ("droptail", "ecn", "red", "codel").
 [[nodiscard]] const char* qdisc_name(qdisc d);
-/// Inverse of qdisc_name; also accepts "ecn_threshold". nullopt on unknown.
+/// Inverse of qdisc_name; nullopt on unknown.
 [[nodiscard]] std::optional<qdisc> qdisc_from_name(const std::string& name);
 
 /// RED parameters. Thresholds may be given in bytes, or left 0 to be derived

@@ -13,8 +13,8 @@
 // queued when item k fires, at time when_k <= when_{k+1}, so it is never in
 // the past, and the reserved block holds no other event's sequence number.
 // Every item not yet queued sorts after the queued head, so the scheduler's
-// global (when, seq) pop order never passes over it — under the heap and
-// the wheel alike. Only the queue-occupancy gauges change.
+// global (when, seq) pop order never passes over it. Only the
+// queue-occupancy gauges change.
 #ifndef MCC_SIM_EVENT_TRAIN_H
 #define MCC_SIM_EVENT_TRAIN_H
 

@@ -20,7 +20,7 @@ log_level get_log_level();
 /// Canonical lowercase name ("debug" ... "off").
 [[nodiscard]] const char* log_level_name(log_level level);
 /// Parses a lowercase level name; nullopt for anything else (callers own the
-/// friendly-error UX, like sched_policy_from_name).
+/// friendly-error UX, like sim::qdisc_from_name).
 [[nodiscard]] std::optional<log_level> log_level_from_name(
     const std::string& name);
 

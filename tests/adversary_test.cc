@@ -1,7 +1,7 @@
 // Adversary subsystem: profile/flag plumbing, the collusion key pool,
 // containment-report math on synthetic series, behavioural checks for every
-// strategy, the legacy-shim equivalence guarantee, and bit-determinism of
-// attack-matrix rows across sweep --jobs counts.
+// strategy, equivalence with the retired inflate fields, and
+// bit-determinism of attack-matrix rows across sweep --jobs counts.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -78,44 +78,18 @@ TEST(adversary_profiles, factories_fill_their_fields) {
   EXPECT_TRUE(g.attacks());
 }
 
-TEST(adversary_shim, legacy_inflate_fields_translate_to_inflate_once) {
-  exp::receiver_options legacy;
-  legacy.inflate = true;
-  legacy.inflate_at = sim::seconds(5.0);
-  legacy.inflate_level = 4;
-  legacy.attack_keys = key_mode::replay;
-  const profile p = legacy.effective_profile();
-  EXPECT_EQ(p.kind, strategy_kind::inflate_once);
-  EXPECT_EQ(p.start, sim::seconds(5.0));
-  EXPECT_EQ(p.inflate_level, 4);
-  EXPECT_EQ(p.keys, key_mode::replay);
-
-  // Honest by default.
-  EXPECT_EQ(exp::receiver_options{}.effective_profile().kind,
-            strategy_kind::honest);
-
-  // Setting both the shim and a profile is ambiguous and rejected.
-  legacy.attack = deaf_receiver(sim::seconds(1.0));
-  EXPECT_THROW((void)legacy.effective_profile(), util::invariant_error);
-}
-
 TEST(adversary_shim, legacy_and_profile_worlds_are_bit_identical) {
-  // The inflate_once port must reproduce the legacy attacker exactly —
-  // same strategy class, same seed-chain position — in both protocol
-  // worlds.
-  const auto run = [](exp::flid_mode mode, bool legacy) {
+  // inflate_once reproduces the attacker of the retired receiver_options
+  // inflate fields exactly — same strategy class, same seed-chain position —
+  // in both protocol worlds. The expected signatures are that legacy
+  // attacker's, recorded while both spellings still existed.
+  const auto run = [](exp::flid_mode mode) {
     exp::dumbbell_config cfg;
     cfg.bottleneck_bps = 1e6;
     cfg.seed = 11;
     exp::testbed d(exp::dumbbell(cfg));
     exp::receiver_options attacker;
-    if (legacy) {
-      attacker.inflate = true;
-      attacker.inflate_at = sim::seconds(20.0);
-      attacker.attack_keys = key_mode::guess;
-    } else {
-      attacker.attack = inflate_once(sim::seconds(20.0), key_mode::guess);
-    }
+    attacker.attack = inflate_once(sim::seconds(20.0), key_mode::guess);
     auto& rogue = d.add_flid_session(mode, {attacker});
     auto& honest = d.add_flid_session(mode, {exp::receiver_options{}});
     d.run_until(sim::seconds(60.0));
@@ -127,8 +101,16 @@ TEST(adversary_shim, legacy_and_profile_worlds_are_bit_identical) {
     }
     return sig.str();
   };
-  EXPECT_EQ(run(exp::flid_mode::dl, true), run(exp::flid_mode::dl, false));
-  EXPECT_EQ(run(exp::flid_mode::ds, true), run(exp::flid_mode::ds, false));
+  EXPECT_EQ(run(exp::flid_mode::dl),
+            "5899968/568512 0:1 4062889694:2 5571641501:3 8077240323:4 "
+            "9067255079:5 9559027994:6 10690095501:7 11201583501:6 "
+            "11694639501:5 12118575501:4 12557083958:5 16061880670:6 "
+            "16558989303:7 17697165303:6 18176397303:5 19563790602:6 "
+            "20053001911:10");
+  EXPECT_EQ(run(exp::flid_mode::ds),
+            "4256640/1450944 0:1 5821422462:2 8072769908:3 9828899576:4 "
+            "12313498918:5 13558001525:6 14056681733:7 14700780900:6 "
+            "14948068900:5 20053595819:10");
 }
 
 TEST(collusion_coordinator_pool, deposit_lookup_and_pruning) {

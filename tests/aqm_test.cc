@@ -40,7 +40,6 @@ TEST(aqm, qdisc_names_round_trip) {
     ASSERT_TRUE(back.has_value()) << qdisc_name(d);
     EXPECT_EQ(*back, d);
   }
-  EXPECT_EQ(qdisc_from_name("ecn_threshold"), qdisc::ecn_threshold);
   EXPECT_FALSE(qdisc_from_name("fq_codel").has_value());
 }
 

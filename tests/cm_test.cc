@@ -4,7 +4,7 @@
 // single-session worlds, multi-session worlds may differ ONLY where the cap
 // actually bound, and the LRU/aging/EWMA laws of the state table must match
 // hand-computed expectations. The sweep integration (mini session farm) must
-// stay byte-identical across --jobs 1 / --jobs 4 / forked workers.
+// stay byte-identical across --jobs 1 / --jobs 4.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -227,7 +227,7 @@ TEST(cm_conformance, attack_timeline_digests_unchanged_with_cm_off) {
   // Explicitly pass the cm-off tweak: this is the "cm off reproduces legacy
   // byte-identically" contract, not just a default-value accident.
   const auto cm_off = [](exp::dumbbell_config& cfg) { cfg.cm = false; };
-  EXPECT_EQ(run_pulse_attack_digest({}, cm_off), kPulseAttackGolden);
+  EXPECT_EQ(run_pulse_attack_digest(cm_off), kPulseAttackGolden);
   EXPECT_EQ(run_adaptive_pulse_digest(cm_off), kAdaptivePulseGolden);
 }
 
@@ -240,7 +240,7 @@ TEST(cm_conformance, never_binding_cap_is_byte_identical_even_when_on) {
     cfg.cm = true;
     cfg.cm_params.congestion_threshold = 1.0;  // severity is at most 1.0
   };
-  EXPECT_EQ(run_pulse_attack_digest({}, cm_inert), kPulseAttackGolden);
+  EXPECT_EQ(run_pulse_attack_digest(cm_inert), kPulseAttackGolden);
   EXPECT_EQ(run_adaptive_pulse_digest(cm_inert), kAdaptivePulseGolden);
 }
 
@@ -371,13 +371,6 @@ TEST(cm_sweep, session_farm_rows_are_jobs_invariant) {
   threaded.base_seed = 21;
   const std::string reference = farm_sweep_json(serial);
   EXPECT_EQ(reference, farm_sweep_json(threaded));
-#ifdef __unix__
-  exp::sweep_options forked;
-  forked.jobs_per_process = 3;
-  forked.base_seed = 21;
-  EXPECT_EQ(reference, farm_sweep_json(forked))
-      << "session-farm rows must survive the worker pipe bit-exactly";
-#endif
 }
 
 }  // namespace

@@ -168,10 +168,10 @@ TEST(flags, undeclared_lookup_throws) {
 
 TEST(flags, enum_flag_accepts_listed_values) {
   flag_set flags;
-  flags.add_enum("sched", "heap", "event-queue policy", {"heap", "wheel"});
-  const char* argv[] = {"prog", "--sched=wheel"};
+  flags.add_enum("cm", "off", "congestion manager", {"off", "on", "both"});
+  const char* argv[] = {"prog", "--cm=both"};
   ASSERT_TRUE(flags.parse(2, argv));
-  EXPECT_EQ(flags.str("sched"), "wheel");
+  EXPECT_EQ(flags.str("cm"), "both");
 }
 
 TEST(flags, enum_flag_rejects_unlisted_value_at_parse_time) {
@@ -179,17 +179,17 @@ TEST(flags, enum_flag_rejects_unlisted_value_at_parse_time) {
   // "expected one of ..." message on stderr), it does not fall through to a
   // silently-wrong default.
   flag_set flags;
-  flags.add_enum("sched", "heap", "event-queue policy", {"heap", "wheel"});
-  const char* argv[] = {"prog", "--sched=whele"};
+  flags.add_enum("cm", "off", "congestion manager", {"off", "on", "both"});
+  const char* argv[] = {"prog", "--cm=bth"};
   EXPECT_FALSE(flags.parse(2, argv));
 }
 
 TEST(flags, enum_flag_default_survives_when_not_set) {
   flag_set flags;
-  flags.add_enum("sched", "heap", "event-queue policy", {"heap", "wheel"});
+  flags.add_enum("cm", "off", "congestion manager", {"off", "on", "both"});
   const char* argv[] = {"prog"};
   ASSERT_TRUE(flags.parse(1, argv));
-  EXPECT_EQ(flags.str("sched"), "heap");
+  EXPECT_EQ(flags.str("cm"), "off");
 }
 
 TEST(flags, enum_csv_flag_validates_every_element) {
@@ -218,8 +218,8 @@ TEST(flags, enum_csv_flag_validates_every_element) {
 
 TEST(flags, enum_default_must_be_listed) {
   flag_set flags;
-  EXPECT_THROW(flags.add_enum("sched", "hepa", "typo'd default",
-                              {"heap", "wheel"}),
+  EXPECT_THROW(flags.add_enum("cm", "of", "typo'd default",
+                              {"off", "on", "both"}),
                invariant_error);
 }
 

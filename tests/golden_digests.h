@@ -81,8 +81,8 @@ class hashing_sink : public sim::agent {
 /// (exponential gaps, mixed sizes, every other packet ECN-capable) at ~2x
 /// the bottleneck rate of a dumbbell whose bottleneck runs the given
 /// discipline.
-inline std::string run_digest(sim::qdisc d, sim::scheduler_config sched_cfg = {}) {
-  sim::scheduler sched(sched_cfg);
+inline std::string run_digest(sim::qdisc d) {
+  sim::scheduler sched;
   sim::network net(sched);
   const sim::node_id ha = net.add_host("ha");
   const sim::node_id hb = net.add_host("hb");
@@ -170,10 +170,8 @@ inline constexpr const char* kAdaptivePulseGolden = "0xa925fe56e16b02de";
 /// sanitizer builds. `tweak` lets callers flip testbed knobs (cm_test turns
 /// the shared congestion manager on) while keeping the world identical.
 inline std::string run_pulse_attack_digest(
-    sim::scheduler_config sched_cfg = {},
     const std::function<void(exp::dumbbell_config&)>& tweak = {}) {
   exp::dumbbell_config cfg;
-  cfg.sched = sched_cfg;
   cfg.bottleneck_bps = 1e6;
   cfg.seed = 5;
   if (tweak) tweak(cfg);
@@ -271,10 +269,10 @@ inline constexpr const char* kReplicatedGolden = "0x8aebda8dbac71a7b";
 
 /// Folds a testbed's whole metrics snapshot (names and values) plus the
 /// scenario's analysis outputs. The scheduler's queue-occupancy gauges
-/// (pending count, its high-water marks, and the wheel's bucket occupancy)
-/// are left out: they describe how the event queue holds pending work, not
-/// what the world did, so an engine change that keeps every fired event may
-/// move them. sched.executed_events stays in.
+/// (pending count and its high-water marks) are left out: they describe how
+/// the event queue holds pending work, not what the world did, so an engine
+/// change that keeps every fired event may move them. sched.executed_events
+/// stays in.
 inline std::string fold_world(
     const exp::testbed& tb,
     const std::vector<std::pair<std::string, double>>& outputs) {
@@ -296,13 +294,11 @@ inline std::string fold_world(
 /// An 8-session FLID-DS farm sharing one bottleneck with the congestion
 /// manager on, session 0 inflating its subscription at 10 s: every FLID
 /// sender's slot pacing and every SIGMA control emitter run in one world.
-inline std::string run_sender_farm_digest(
-    sim::scheduler_config sched_cfg = {}) {
+inline std::string run_sender_farm_digest() {
   constexpr int sessions = 8;
   const sim::time_ns attack_at = sim::seconds(10.0);
   const sim::time_ns horizon = sim::seconds(30.0);
   exp::dumbbell_config cfg;
-  cfg.sched = sched_cfg;
   cfg.bottleneck_bps = 250e3 * sessions;
   cfg.seed = 11;
   cfg.cm = true;
@@ -330,9 +326,8 @@ inline std::string run_sender_farm_digest(
 
 /// A replicated-multicast session (one group at a time) from the left edge
 /// to two receivers behind a 400 Kbps bottleneck shared with a TCP flow.
-inline std::string run_replicated_digest(sim::scheduler_config sched_cfg = {}) {
+inline std::string run_replicated_digest() {
   exp::dumbbell_config cfg;
-  cfg.sched = sched_cfg;
   cfg.bottleneck_bps = 400e3;
   cfg.seed = 99;
   exp::testbed tb(exp::dumbbell(cfg));

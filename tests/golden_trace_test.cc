@@ -44,29 +44,6 @@ TEST_P(golden_trace, digest_is_reproducible_within_a_process) {
   EXPECT_EQ(run_digest(d), run_digest(d));
 }
 
-TEST_P(golden_trace, wheel_scheduler_matches_the_same_digest) {
-  // The timer-wheel policy's determinism contract: the SAME checked-in
-  // digest as the heap, bit for bit — not a separate wheel baseline.
-  const qdisc d = GetParam();
-  scheduler_config wheel;
-  wheel.policy = sched_policy::wheel;
-  EXPECT_EQ(run_digest(d, wheel), golden(d))
-      << "wheel scheduler diverged from the heap event order under "
-      << qdisc_name(d);
-}
-
-TEST_P(golden_trace, coarse_wheel_granularity_matches_the_same_digest) {
-  // Bucket width must not be observable: a 65536 ns bucket packs many
-  // distinct timestamps per bucket, and the due heap restores exact order.
-  const qdisc d = GetParam();
-  scheduler_config wheel;
-  wheel.policy = sched_policy::wheel;
-  wheel.wheel_granularity = 65536;
-  EXPECT_EQ(run_digest(d, wheel), golden(d))
-      << "wheel granularity leaked into the event order under "
-      << qdisc_name(d);
-}
-
 INSTANTIATE_TEST_SUITE_P(all_qdiscs, golden_trace,
                          ::testing::Values(qdisc::droptail,
                                            qdisc::ecn_threshold, qdisc::red,
@@ -89,15 +66,6 @@ TEST(golden_trace_adversary, pulse_inflate_timeline_matches_checked_in_digest) {
 
 TEST(golden_trace_adversary, pulse_digest_is_reproducible_within_a_process) {
   EXPECT_EQ(run_pulse_attack_digest(), run_pulse_attack_digest());
-}
-
-TEST(golden_trace_adversary, pulse_digest_is_policy_invariant) {
-  // End-to-end through exp::testbed: the full FLID-DS attack timeline pins
-  // to the same digest under the timer wheel.
-  scheduler_config wheel;
-  wheel.policy = sched_policy::wheel;
-  EXPECT_EQ(run_pulse_attack_digest(wheel), kPulseAttackGolden)
-      << "wheel scheduler diverged from the heap on the attack timeline";
 }
 
 TEST(golden_trace_adversary, adaptive_pulse_timeline_matches_checked_in_digest) {
@@ -123,24 +91,10 @@ TEST(golden_trace_senders, farm_world_matches_checked_in_digest) {
          "digest with the value above)";
 }
 
-TEST(golden_trace_senders, farm_digest_is_policy_invariant) {
-  scheduler_config wheel;
-  wheel.policy = sched_policy::wheel;
-  EXPECT_EQ(run_sender_farm_digest(wheel), kSenderFarmGolden)
-      << "wheel scheduler diverged from the heap on the session farm";
-}
-
 TEST(golden_trace_senders, replicated_world_matches_checked_in_digest) {
   EXPECT_EQ(run_replicated_digest(), kReplicatedGolden)
       << "replicated-sender world drifted (if intentional, update the "
          "digest with the value above)";
-}
-
-TEST(golden_trace_senders, replicated_digest_is_policy_invariant) {
-  scheduler_config wheel;
-  wheel.policy = sched_policy::wheel;
-  EXPECT_EQ(run_replicated_digest(wheel), kReplicatedGolden)
-      << "wheel scheduler diverged from the heap on the replicated world";
 }
 
 // ---------------------------------------------------------------------------

@@ -327,31 +327,6 @@ TEST(sweep_obs, rows_with_metrics_and_traces_are_jobs_invariant) {
   threaded.jobs = 3;
   threaded.base_seed = 11;
   EXPECT_EQ(sweep_json(serial, true), sweep_json(threaded, true));
-#ifdef __unix__
-  exp::sweep_options forked;
-  forked.jobs_per_process = 3;
-  forked.base_seed = 11;
-  EXPECT_EQ(sweep_json(serial, true), sweep_json(forked, true))
-      << "metrics and trace blobs must survive the worker pipe bit-exactly";
-#endif
-}
-
-TEST(sweep_obs, trace_blobs_cross_the_forked_worker_pipe) {
-#ifdef __unix__
-  exp::sweep_options forked;
-  forked.jobs_per_process = 2;
-  forked.base_seed = 11;
-  const std::vector<double> xs = {1.0, 2.0};
-  const auto rows = exp::run_sweep(xs, forked, [](const auto& pt) {
-    return tiny_world_row(pt, true);
-  });
-  for (const auto& row : rows) {
-    EXPECT_FALSE(row.trace_blob.empty());
-    EXPECT_FALSE(row.metrics.empty());
-  }
-#else
-  GTEST_SKIP() << "forked workers are POSIX-only";
-#endif
 }
 
 TEST(sweep_obs, json_document_carries_schema_version_2_and_metrics) {

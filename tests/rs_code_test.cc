@@ -5,10 +5,17 @@
 #include <algorithm>
 #include <vector>
 
+#include "crypto/gf256.h"
 #include "crypto/prng.h"
 
 namespace mcc::crypto {
 namespace {
+
+// The GF(2^8) tables are built at compile time: FIPS-197 section 4.2's worked
+// product {57} x {83} = {c1} is checked by the compiler.
+static_assert(gf256::mul(0x57, 0x83) == 0xc1);
+static_assert(gf256::mul(0x83, 0x57) == 0xc1);
+static_assert(gf256::mul(0x57, 0x00) == 0x00);
 
 std::vector<shard> random_shards(int k, std::size_t len, prng& g) {
   std::vector<shard> out(static_cast<std::size_t>(k), shard(len));

@@ -278,8 +278,7 @@ TEST(scenario, parking_lot_attacker_behind_second_bottleneck_is_contained) {
   honest_near.at = "r1";
   receiver_options attacker_far;
   attacker_far.at = "r2";
-  attacker_far.inflate = true;
-  attacker_far.inflate_at = sim::seconds(30.0);
+  attacker_far.attack = adversary::inflate_once(sim::seconds(30.0));
   auto& session =
       d.add_flid_session(flid_mode::ds, {honest_near, attacker_far});
   flow_options tcp_far;  // competes on both bottlenecks

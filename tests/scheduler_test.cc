@@ -14,13 +14,6 @@
 namespace mcc::sim {
 namespace {
 
-scheduler_config wheel_cfg(time_ns granularity = 1024) {
-  scheduler_config cfg;
-  cfg.policy = sched_policy::wheel;
-  cfg.wheel_granularity = granularity;
-  return cfg;
-}
-
 TEST(scheduler, starts_at_time_zero) {
   scheduler s;
   EXPECT_EQ(s.now(), 0);
@@ -229,144 +222,75 @@ TEST(scheduler, cascading_chain_terminates_at_horizon) {
   EXPECT_EQ(count, 10);  // t = 0, 10, ..., 90
 }
 
-// --- timer-wheel policy ------------------------------------------------------
+// --- randomized order oracle ------------------------------------------------
 
-TEST(scheduler_wheel, reports_policy_and_fires_in_order) {
-  scheduler s(wheel_cfg());
-  EXPECT_EQ(s.policy(), sched_policy::wheel);
-  std::vector<int> order;
-  s.at(milliseconds(30), [&] { order.push_back(3); });
-  s.at(milliseconds(10), [&] { order.push_back(1); });
-  s.at(milliseconds(20), [&] { order.push_back(2); });
-  s.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(s.now(), milliseconds(30));
-}
+/// Brute-force reference queue: every pop scans all entries for the least
+/// live (when, seq), seq being the scheduling order. O(n) per pop, and
+/// obviously correct, which is the point.
+class reference_queue {
+ public:
+  class handle {
+   public:
+    void cancel() { q_->entries_[idx_].live = false; }
 
-TEST(scheduler_wheel, equal_time_events_keep_scheduling_order) {
-  // Intra-bucket order is (when, seq): events parked in the same bucket must
-  // come out in FIFO order even after a cascade reshuffles the bucket.
-  scheduler s(wheel_cfg());
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    s.at(seconds(1.0), [&, i] { order.push_back(i); });
+   private:
+    friend class reference_queue;
+    handle(reference_queue* q, std::size_t idx) : q_(q), idx_(idx) {}
+    reference_queue* q_;
+    std::size_t idx_;
+  };
+
+  [[nodiscard]] time_ns now() const { return now_; }
+  handle at(time_ns when, std::function<void()> fn) {
+    EXPECT_GE(when, now_);
+    entries_.push_back({when, std::move(fn), true});
+    return handle(this, entries_.size() - 1);
   }
-  s.run();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], i);
-}
-
-TEST(scheduler_wheel, handle_outlives_scheduler) {
-  event_handle h;
-  {
-    scheduler s(wheel_cfg());
-    h = s.at(milliseconds(10), [] {});
-    EXPECT_TRUE(h.pending());
+  handle after(time_ns delay, std::function<void()> fn) {
+    return at(now_ + delay, std::move(fn));
   }
-  EXPECT_FALSE(h.pending());
-  h.cancel();  // safe no-op
-}
+  void run() {
+    for (;;) {
+      const std::size_t none = entries_.size();
+      std::size_t best = none;
+      for (std::size_t i = 0; i < entries_.size(); ++i) {
+        // Index order is scheduling order, so a strict < keeps FIFO ties.
+        if (entries_[i].live &&
+            (best == none || entries_[i].when < entries_[best].when)) {
+          best = i;
+        }
+      }
+      if (best == none) return;
+      entries_[best].live = false;
+      now_ = entries_[best].when;
+      // Move the callable out: it may schedule, growing entries_.
+      std::function<void()> fn = std::move(entries_[best].fn);
+      fn();
+    }
+  }
 
-TEST(scheduler_wheel, stale_handle_does_not_affect_recycled_slot) {
-  scheduler s(wheel_cfg());
-  int first = 0;
-  int second = 0;
-  event_handle h1 = s.at(milliseconds(1), [&] { ++first; });
-  s.run();
-  ASSERT_EQ(first, 1);
-  event_handle h2 = s.at(milliseconds(2), [&] { ++second; });
-  EXPECT_FALSE(h1.pending());
-  h1.cancel();  // stale generation: must not touch the recycled slot
-  EXPECT_TRUE(h2.pending());
-  s.run();
-  EXPECT_EQ(second, 1);
-}
+ private:
+  struct entry {
+    time_ns when;
+    std::function<void()> fn;
+    bool live;
+  };
+  std::vector<entry> entries_;
+  time_ns now_ = 0;
+};
 
-TEST(scheduler_wheel, cancel_in_bucket_prevents_execution) {
-  // Cancel events parked at every wheel level (and the far wheel) before any
-  // cascade has moved them; none may fire, and the queue must drain fully.
-  scheduler s(wheel_cfg());
-  int fired = 0;
-  std::vector<event_handle> doomed;
-  doomed.push_back(s.at(microseconds(5), [&] { ++fired; }));     // level 0
-  doomed.push_back(s.at(milliseconds(3), [&] { ++fired; }));     // level 1+
-  doomed.push_back(s.at(seconds(2.0), [&] { ++fired; }));        // level 2+
-  doomed.push_back(s.at(seconds(8000.0), [&] { ++fired; }));     // far wheel
-  int kept = 0;
-  s.at(seconds(9000.0), [&] { ++kept; });
-  EXPECT_EQ(s.pending_events(), 5u);
-  for (auto& h : doomed) h.cancel();
-  s.run();
-  EXPECT_EQ(fired, 0);
-  EXPECT_EQ(kept, 1);
-  EXPECT_EQ(s.pending_events(), 0u);
-  EXPECT_EQ(s.executed_events(), 1u);
-}
-
-TEST(scheduler_wheel, far_wheel_cascades_at_rollover_boundary) {
-  // With granularity 1024 ns the wheel spans 2^42 ns; events right below,
-  // at, and past the boundary must still fire in exact time order.
-  scheduler s(wheel_cfg());
-  const time_ns span = time_ns{1} << 42;
-  std::vector<int> order;
-  s.at(span + 1, [&] { order.push_back(4); });        // far wheel
-  s.at(span, [&] { order.push_back(3); });            // far wheel (exactly)
-  s.at(span - 1, [&] { order.push_back(2); });        // top level
-  s.at(milliseconds(1), [&] { order.push_back(1); }); // level 1
-  s.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
-  EXPECT_EQ(s.now(), span + 1);
-}
-
-TEST(scheduler_wheel, far_jump_skips_idle_rotations) {
-  // An empty wheel with only a very-far event must jump the horizon rather
-  // than cascade through every rotation in between.
-  scheduler s(wheel_cfg());
-  const time_ns far_out = (time_ns{1} << 42) * 5 + 12345;
-  time_ns seen = -1;
-  s.at(far_out, [&] { seen = s.now(); });
-  s.run();
-  EXPECT_EQ(seen, far_out);
-  EXPECT_EQ(s.executed_events(), 1u);
-}
-
-TEST(scheduler_wheel, run_until_stops_at_horizon) {
-  scheduler s(wheel_cfg());
-  int fired = 0;
-  s.at(milliseconds(10), [&] { ++fired; });
-  s.at(milliseconds(30), [&] { ++fired; });
-  s.run_until(milliseconds(20));
-  EXPECT_EQ(fired, 1);
-  EXPECT_EQ(s.now(), milliseconds(20));
-  EXPECT_EQ(s.pending_events(), 1u);
-  s.run_until(milliseconds(40));
-  EXPECT_EQ(fired, 2);
-}
-
-TEST(scheduler_wheel, coarse_granularity_still_fires_in_exact_order) {
-  // A 1 ms bucket holds many distinct timestamps; the due heap must still
-  // fire them in exact (when, seq) order, not bucket order.
-  scheduler s(wheel_cfg(milliseconds(1)));
-  std::vector<int> order;
-  s.at(microseconds(900), [&] { order.push_back(3); });
-  s.at(microseconds(100), [&] { order.push_back(1); });
-  s.at(microseconds(500), [&] { order.push_back(2); });
-  s.at(milliseconds(2) + microseconds(1), [&] { order.push_back(5); });
-  s.at(milliseconds(2), [&] { order.push_back(4); });
-  s.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
-}
-
-/// Drives one scheduler through a deterministic random schedule/cancel/nested
-/// workload and returns the exact fire order (event ids).
-std::vector<std::uint64_t> random_workload_fire_order(scheduler_config cfg,
-                                                      std::uint64_t seed) {
-  scheduler s(cfg);
+/// Drives one queue (the scheduler or the reference) through a
+/// deterministic random schedule/cancel/nested workload and returns the
+/// exact fire order (event ids).
+template <typename Queue>
+std::vector<std::uint64_t> random_workload_fire_order(std::uint64_t seed) {
+  Queue s;
   std::vector<std::uint64_t> log;
-  std::vector<event_handle> handles;
+  std::vector<decltype(s.at(0, [] {}))> handles;
   std::uint64_t state = seed;
   std::uint64_t nested_id = 100000;
-  // Delay spreads chosen to land in every wheel level and the far wheel
-  // (granularity 1024 ns: levels roll over at 2^18, 2^26, 2^34, 2^42 ns).
+  // Delay spreads from microseconds to hours, so short and long timers mix
+  // and many delays collide on equal times only by accident.
   const std::array<std::uint64_t, 5> spreads = {
       std::uint64_t{1} << 12, std::uint64_t{1} << 20, std::uint64_t{1} << 28,
       std::uint64_t{1} << 36, std::uint64_t{1} << 43};
@@ -390,26 +314,15 @@ std::vector<std::uint64_t> random_workload_fire_order(scheduler_config cfg,
   return log;
 }
 
-TEST(scheduler_wheel, randomized_equivalence_with_heap) {
-  // The tentpole determinism claim: identical event streams fire in an
-  // identical order under both queue policies, cancellations and nested
-  // scheduling included.
+TEST(scheduler, random_workload_matches_brute_force_reference) {
+  // Identical event streams fire in the reference's exact (when, seq) order,
+  // cancellations and nested scheduling included.
   for (std::uint64_t seed : {1ULL, 42ULL, 0xdeadbeefULL}) {
-    const auto heap_order = random_workload_fire_order({}, seed);
-    const auto wheel_order = random_workload_fire_order(wheel_cfg(), seed);
-    ASSERT_FALSE(heap_order.empty());
-    EXPECT_EQ(heap_order, wheel_order) << "seed " << seed;
-    // Coarser buckets change nothing either: the due heap restores exact
-    // order inside each bucket.
-    const auto coarse_order =
-        random_workload_fire_order(wheel_cfg(microseconds(100)), seed);
-    EXPECT_EQ(heap_order, coarse_order) << "seed " << seed;
+    const auto order = random_workload_fire_order<scheduler>(seed);
+    ASSERT_FALSE(order.empty());
+    EXPECT_EQ(order, random_workload_fire_order<reference_queue>(seed))
+        << "seed " << seed;
   }
-}
-
-TEST(scheduler_wheel, rejects_nonpositive_granularity) {
-  scheduler_config cfg = wheel_cfg(0);
-  EXPECT_THROW(scheduler s(cfg), util::invariant_error);
 }
 
 // ---------------------------------------------------------------------------
@@ -465,13 +378,12 @@ TEST(event_train, destroying_a_train_cancels_its_queued_head) {
 /// schedule follow-ups at the current time. With `trains` on, every batch
 /// rides one of a few event_trains; with it off, every item is
 /// pre-scheduled with at() when its batch is issued. Returns the fire log.
-std::vector<std::uint64_t> train_world_fire_order(scheduler_config cfg,
-                                                  std::uint64_t seed,
+std::vector<std::uint64_t> train_world_fire_order(std::uint64_t seed,
                                                   bool trains,
                                                   std::uint64_t* executed) {
   constexpr time_ns grid = 1000;
   constexpr int kTrains = 3;
-  scheduler s(cfg);
+  scheduler s;
   crypto::prng rng(seed);
   std::vector<std::uint64_t> log;
   std::uint64_t next_id = 0;
@@ -515,25 +427,15 @@ std::vector<std::uint64_t> train_world_fire_order(scheduler_config cfg,
   return log;
 }
 
-TEST(event_train, fires_exactly_like_pre_scheduling_under_both_policies) {
+TEST(event_train, fires_exactly_like_pre_scheduling) {
   for (std::uint64_t seed : {3ULL, 17ULL, 0xfeedULL, 0xc0ffeeULL}) {
     std::uint64_t ref_executed = 0;
-    const auto reference =
-        train_world_fire_order({}, seed, false, &ref_executed);
+    const auto reference = train_world_fire_order(seed, false, &ref_executed);
     ASSERT_GT(reference.size(), 2000u) << "seed " << seed;
-    for (const scheduler_config& cfg :
-         {scheduler_config{}, wheel_cfg(), wheel_cfg(microseconds(100))}) {
-      std::uint64_t executed = 0;
-      EXPECT_EQ(train_world_fire_order(cfg, seed, true, &executed), reference)
-          << "seed " << seed << " policy " << sched_policy_name(cfg.policy)
-          << " granularity " << cfg.wheel_granularity;
-      EXPECT_EQ(executed, ref_executed) << "seed " << seed;
-      std::uint64_t wheel_ref_executed = 0;
-      EXPECT_EQ(train_world_fire_order(cfg, seed, false, &wheel_ref_executed),
-                reference)
-          << "seed " << seed << " pre-scheduled under "
-          << sched_policy_name(cfg.policy);
-    }
+    std::uint64_t executed = 0;
+    EXPECT_EQ(train_world_fire_order(seed, true, &executed), reference)
+        << "seed " << seed;
+    EXPECT_EQ(executed, ref_executed) << "seed " << seed;
   }
 }
 

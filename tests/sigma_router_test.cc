@@ -105,9 +105,8 @@ TEST_F(sigma_fixture, keyless_session_join_gets_grace_then_cutoff) {
 
 TEST_F(sigma_fixture, random_key_guessing_fails_and_is_tallied) {
   receiver_options attacker;
-  attacker.inflate = true;
-  attacker.inflate_at = sim::seconds(5.0);
-  attacker.attack_keys = misbehaving_sigma_strategy::key_mode::guess;
+  attacker.attack = adversary::inflate_once(
+      sim::seconds(5.0), misbehaving_sigma_strategy::key_mode::guess);
   auto& session = d->add_flid_session(flid_mode::ds, {attacker});
   d->run_until(sim::seconds(30.0));
   EXPECT_GT(d->sigma().stats().invalid_keys, 0u);
@@ -140,9 +139,8 @@ TEST_F(sigma_fixture, guess_tally_decays_instead_of_accumulating) {
   // slot, so a long run of steady guessing keeps a bounded recent count while
   // the cumulative invalid_keys counter grows with run length.
   receiver_options attacker;
-  attacker.inflate = true;
-  attacker.inflate_at = sim::seconds(5.0);
-  attacker.attack_keys = misbehaving_sigma_strategy::key_mode::guess;
+  attacker.attack = adversary::inflate_once(
+      sim::seconds(5.0), misbehaving_sigma_strategy::key_mode::guess);
   auto& session = d->add_flid_session(flid_mode::ds, {attacker});
   d->run_until(sim::seconds(40.0));
   sim::link* iface = d->net().next_hop(

@@ -5,10 +5,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <set>
 #include <sstream>
-#include <stdexcept>
 #include <thread>
 
 #include "crypto/prng.h"
@@ -170,105 +168,8 @@ TEST(sweep, flags_register_and_read_back) {
   const sweep_options opts =
       sweep_options_from_flags(flags, static_cast<std::uint64_t>(flags.i64("seed")));
   EXPECT_EQ(opts.jobs, 4);
-  EXPECT_EQ(opts.jobs_per_process, 0);
   EXPECT_EQ(opts.base_seed, 7u);
   EXPECT_EQ(flags.str("json"), "out.json");
-}
-
-TEST(sweep, jobs_per_process_flag_reads_back) {
-  util::flag_set flags("test");
-  add_sweep_flags(flags);
-  const char* argv[] = {"prog", "--jobs-per-process=4"};
-  ASSERT_TRUE(flags.parse(2, argv));
-  const sweep_options opts = sweep_options_from_flags(flags, 1);
-  EXPECT_EQ(opts.jobs_per_process, 4);
-}
-
-// --- forked worker processes -------------------------------------------------
-
-TEST(sweep, forked_workers_byte_identical_to_serial) {
-  // The fig08abc shape: a session-count grid where each point consumes its
-  // own PRNG stream and reports scalars plus a trajectory. The merged forked
-  // output must be byte-identical (not approximately equal) to --jobs 1.
-  sweep_options serial;
-  serial.jobs = 1;
-  serial.base_seed = 11;
-  sweep_options forked = serial;
-  forked.jobs_per_process = 4;  // one forked worker, 4 threads
-
-  const auto a = run_sweep(grid(10), serial, fake_experiment);
-  const auto b = run_sweep(grid(10), forked, fake_experiment);
-  ASSERT_EQ(a.size(), b.size());
-  std::ostringstream ja;
-  std::ostringstream jb;
-  write_json(ja, "cmp", a);
-  write_json(jb, "cmp", b);
-  EXPECT_EQ(ja.str(), jb.str());  // the BENCH document, byte for byte
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].value_of("mean"), b[i].value_of("mean"));
-    EXPECT_EQ(a[i].label, b[i].label);
-    const series* sa = a[i].trace_of("trajectory");
-    const series* sb = b[i].trace_of("trajectory");
-    ASSERT_NE(sa, nullptr);
-    ASSERT_NE(sb, nullptr);
-    EXPECT_EQ(*sa, *sb);
-  }
-}
-
-TEST(sweep, multiple_forked_workers_merge_in_grid_order) {
-  // jobs=6 at 2 threads per process forks 3 workers over interleaved shards;
-  // rows must still merge back in grid order.
-  sweep_options opts;
-  opts.jobs = 6;
-  opts.jobs_per_process = 2;
-  opts.base_seed = 5;
-  const auto rows = run_sweep(grid(13), opts, [](const sweep_point& pt) {
-    sweep_row row;
-    row.value("index", static_cast<double>(pt.index));
-    row.label = "p" + std::to_string(pt.index);
-    return row;
-  });
-  ASSERT_EQ(rows.size(), 13u);
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    EXPECT_DOUBLE_EQ(rows[i].x, static_cast<double>(i + 1));
-    EXPECT_DOUBLE_EQ(rows[i].value_of("index"), static_cast<double>(i));
-    EXPECT_EQ(rows[i].label, "p" + std::to_string(i));
-  }
-}
-
-TEST(sweep, forked_worker_point_failure_propagates) {
-  sweep_options opts;
-  opts.jobs_per_process = 2;
-  EXPECT_THROW(run_sweep(grid(4), opts,
-                         [](const sweep_point& pt) -> sweep_row {
-                           if (pt.index == 2) {
-                             util::require(false, "boom in child");
-                           }
-                           return {};
-                         }),
-               std::runtime_error);
-}
-
-TEST(sweep, forked_worker_crash_is_a_loud_error) {
-  // A worker that dies outright (here: _Exit mid-point, as a stand-in for a
-  // segfault) must surface as an exception naming the dead worker — never as
-  // a silently truncated row set. Only safe to test in process mode.
-  sweep_options opts;
-  opts.jobs_per_process = 1;
-  opts.jobs = 2;  // two workers; one crashes, one finishes
-  try {
-    run_sweep(grid(6), opts, [](const sweep_point& pt) -> sweep_row {
-      if (pt.index == 3) std::_Exit(42);
-      sweep_row row;
-      row.value("ok", 1.0);
-      return row;
-    });
-    FAIL() << "expected a worker-crash exception";
-  } catch (const std::runtime_error& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("worker process"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("truncated"), std::string::npos) << msg;
-  }
 }
 
 }  // namespace
