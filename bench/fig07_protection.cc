@@ -22,8 +22,8 @@ int main(int argc, char** argv) {
   util::flag_set flags("Figure 7: FLID-DS under the inflated-subscription attack");
   flags.add("duration", "200", "experiment length, seconds");
   flags.add("inflate_at", "100", "attack start, seconds");
-  flags.add("attack-keys", "guess",
-            "how unprovable layers are backed: best_effort|replay|guess");
+  flags.add_enum("attack-keys", "guess", "how unprovable layers are backed",
+                 {"best_effort", "replay", "guess"});
   flags.add("seed", "7", "simulation seed");
   exp::add_interface_keying_flag(flags);
   exp::add_sweep_flags(flags);
@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   const double duration = flags.f64("duration");
   const double inflate_at_s = flags.f64("inflate_at");
   const adversary::key_mode keys =
-      adversary::key_mode_from_flag(flags.str("attack-keys"));
+      adversary::key_mode_from_name(flags.str("attack-keys")).value();
   // Off (the paper's setup) unless asked for. This is a single-scenario
   // figure, so the axis spelling "both" would silently pick one value —
   // reject it with the usual friendly flag UX instead.

@@ -36,7 +36,6 @@
 // follow --attack-keys.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -76,64 +75,17 @@ struct cell {
   std::size_t seed_index = 0;
 };
 
-exp::testbed_config make_config(const std::string& topo, std::uint64_t seed,
-                                sim::qdisc queue, const sim::aqm_config& aqm_in,
-                                bool keying, int memory, bool cm,
-                                const cm::cm_config& cm_params,
-                                site_plan& sites) {
-  sim::aqm_config aqm = aqm_in;
-  aqm.discipline = queue;
-  if (topo == "dumbbell") {
-    exp::dumbbell_config cfg;
-    cfg.bottleneck_bps = path_bps;
-    cfg.seed = seed;
-    cfg.aqm = aqm;
-    cfg.interface_keying = keying;
-    cfg.probation_memory_slots = memory;
-    cfg.cm = cm;
-    cfg.cm_params = cm_params;
-    sites = {"r", "r", "r"};
-    return exp::dumbbell(cfg);
-  }
-  if (topo == "parking_lot") {
-    exp::parking_lot_config cfg;
-    cfg.bottlenecks = 2;
-    cfg.bottleneck_bps = path_bps;
-    cfg.seed = seed;
-    cfg.aqm = aqm;
-    cfg.interface_keying = keying;
-    cfg.probation_memory_slots = memory;
-    cfg.cm = cm;
-    cfg.cm_params = cm_params;
-    // The attacker sits behind both bottlenecks; its colluding partner
-    // behind only the first, so the partner's cleaner congestion state
-    // feeds the key pool.
-    sites = {"r1", "r2", "r1"};
-    return exp::parking_lot(cfg);
-  }
-  if (topo == "tree") {
-    exp::tree_config cfg;
-    cfg.depth = 2;
-    cfg.fanout = 2;
-    cfg.edge_bps = path_bps;
-    cfg.seed = seed;
-    cfg.aqm = aqm;
-    cfg.interface_keying = keying;
-    cfg.probation_memory_slots = memory;
-    cfg.cm = cm;
-    cfg.cm_params = cm_params;
-    // Attacker on a sibling leaf of the honest receiver: they share the
-    // root->t1_0 edge (the contested link) and split below it. The second
-    // colluder sits in the other subtree, where its cleaner congestion
-    // state feeds the key pool.
-    sites = {"t2_0", "t2_1", "t2_2"};
-    return exp::balanced_tree(cfg);
-  }
-  std::fprintf(stderr,
-               "bad value for --topos: '%s' (expected dumbbell, parking_lot, "
-               "tree, a comma list, or all)\n",
-               topo.c_str());
-  std::exit(1);
+/// Where each party sits: the honest receiver and the attacker share the
+/// contested link. On the parking lot the attacker sits behind both
+/// bottlenecks and its colluding partner behind only the first; on the tree
+/// the attacker is a sibling leaf of the honest receiver (they share the
+/// root->t1_0 edge and split below it) and the partner sits in the other
+/// subtree. Either way the partner's cleaner congestion state feeds the key
+/// pool.
+site_plan sites_for(const std::string& topo) {
+  if (topo == "parking_lot") return {"r1", "r2", "r1"};
+  if (topo == "tree") return {"t2_0", "t2_1", "t2_2"};
+  return {"r", "r", "r"};
 }
 
 }  // namespace
@@ -143,14 +95,22 @@ int main(int argc, char** argv) {
       "Attack matrix: adversary strategy x topology x qdisc containment");
   flags.add("duration", "120", "experiment length, seconds");
   flags.add("attack-at", "40", "attack onset, seconds");
-  flags.add("strategies", "all",
-            "comma list of inflate_once|pulse_inflate|churn_flap|"
-            "deaf_receiver|collusion|adaptive_pulse|adaptive_churn, or all");
-  flags.add("topos", "all",
-            "comma list of dumbbell|parking_lot|tree, or all");
-  flags.add("mode", "ds", "protocol world: ds (SIGMA-protected) or dl (plain)");
-  flags.add("attack-keys", "guess",
-            "key mode for inflate_once/pulse_inflate: best_effort|replay|guess");
+  std::vector<std::string> strategy_names;
+  for (const adversary::strategy_kind k : adversary::all_attacks()) {
+    strategy_names.push_back(adversary::strategy_name(k));
+  }
+  strategy_names.push_back("all");
+  flags.add_enum("strategies", "all", "attack strategies to sweep",
+                 strategy_names, /*csv_list=*/true);
+  flags.add_enum("topos", "all", "topologies to sweep",
+                 {"dumbbell", "parking_lot", "tree", "all"},
+                 /*csv_list=*/true);
+  flags.add_enum("mode", "ds",
+                 "protocol world: ds (SIGMA-protected) or dl (plain)",
+                 {"ds", "dl"});
+  flags.add_enum("attack-keys", "guess",
+                 "key mode for the key-backed strategies except collusion",
+                 {"best_effort", "replay", "guess"});
   flags.add("pulse-on", "5",
             "pulse_inflate: attack phase; adaptive_pulse: max probe, seconds");
   flags.add("pulse-off", "5", "pulse_inflate: recovery phase, seconds");
@@ -176,15 +136,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string mode_name = flags.str("mode");
-  if (mode_name != "ds" && mode_name != "dl") {
-    std::fprintf(stderr, "bad value for --mode: '%s' (expected ds or dl)\n",
-                 mode_name.c_str());
-    return 1;
-  }
   const exp::flid_mode mode =
       mode_name == "ds" ? exp::flid_mode::ds : exp::flid_mode::dl;
   const adversary::key_mode keys =
-      adversary::key_mode_from_flag(flags.str("attack-keys"));
+      adversary::key_mode_from_name(flags.str("attack-keys")).value();
   const sim::time_ns pulse_on = sim::seconds(flags.f64("pulse-on"));
   const sim::time_ns pulse_off = sim::seconds(flags.f64("pulse-off"));
   if (pulse_on <= 0 || pulse_off <= 0) {
@@ -204,16 +159,7 @@ int main(int argc, char** argv) {
     strategies = adversary::all_attacks();
   } else {
     for (const std::string& name : util::split_csv(flags.str("strategies"))) {
-      const auto k = adversary::strategy_from_name(name);
-      if (!k.has_value() || *k == adversary::strategy_kind::honest) {
-        std::fprintf(stderr,
-                     "bad value for --strategies: '%s' (expected "
-                     "inflate_once, pulse_inflate, churn_flap, deaf_receiver, "
-                     "collusion, a comma list, or all)\n",
-                     name.c_str());
-        return 1;
-      }
-      strategies.push_back(*k);
+      strategies.push_back(adversary::strategy_from_name(name).value());
     }
   }
   const std::vector<std::string> topos =
@@ -246,10 +192,6 @@ int main(int argc, char** argv) {
   std::size_t seed_index = 0;
   for (const adversary::strategy_kind s : strategies) {
     for (const std::string& t : topos) {
-      // Validate topology names up front (before worker threads).
-      site_plan probe;
-      (void)make_config(t, 1, sim::qdisc::droptail, aqm_base, false, 0, false,
-                        cm_params, probe);
       for (const sim::qdisc q : qdiscs) {
         for (const bool k : keyings) {
           for (const int m : memories) {
@@ -277,40 +219,18 @@ int main(int argc, char** argv) {
 
   const auto rows = exp::run_sweep(xs, opts, [&](const exp::sweep_point& pt) {
     const cell& c = cells[pt.index];
-    site_plan sites;
-    exp::testbed d(make_config(c.topo, exp::point_seed(opts.base_seed, c.seed_index),
-                               c.queue, aqm_base, c.keying, c.memory, c.cm,
-                               cm_params, sites));
-
-    adversary::profile attack;
-    switch (c.strategy) {
-      case adversary::strategy_kind::inflate_once:
-        attack = adversary::inflate_once(attack_at, keys);
-        break;
-      case adversary::strategy_kind::pulse_inflate:
-        attack = adversary::pulse_inflate(attack_at, pulse_on, pulse_off, keys);
-        break;
-      case adversary::strategy_kind::churn_flap:
-        attack = adversary::churn_flap(attack_at, flap_period);
-        break;
-      case adversary::strategy_kind::deaf_receiver:
-        attack = adversary::deaf_receiver(attack_at);
-        break;
-      case adversary::strategy_kind::collusion:
-        attack = adversary::collusion(attack_at);
-        break;
-      case adversary::strategy_kind::adaptive_pulse:
-        attack = adversary::adaptive_pulse(attack_at, pulse_on, keys);
-        break;
-      case adversary::strategy_kind::adaptive_churn:
-        attack = adversary::adaptive_churn(attack_at);
-        break;
-      default:
-        // A new attack kind in all_attacks() without a cell recipe here
-        // must fail loudly, not run under a borrowed name.
-        util::require(false, "fig_attack_matrix: unhandled strategy",
-                      adversary::strategy_name(c.strategy));
-    }
+    const site_plan sites = sites_for(c.topo);
+    sim::aqm_config aqm = aqm_base;
+    aqm.discipline = c.queue;
+    exp::world_options world;
+    world.seed = exp::point_seed(opts.base_seed, c.seed_index);
+    world.interface_keying = c.keying;
+    world.probation_memory_slots = c.memory;
+    world.cm = c.cm;
+    world.cm_params = cm_params;
+    exp::testbed d(exp::named_scenario(c.topo, path_bps, aqm, world));
+    const adversary::profile attack = adversary::make_profile(
+        c.strategy, attack_at, keys, pulse_on, pulse_off, flap_period);
 
     // Two sessions share the path, mirroring Figure 7 and the containment
     // matrix test: the rogue session carries the attacker(s), the honest

@@ -37,7 +37,6 @@
 // — honest leave/rejoin must ride through the memory window unblocked.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -71,57 +70,15 @@ struct cell {
   int memory = 0;      // probation-memory window, slots (0 = off)
 };
 
-exp::testbed_config make_config(const std::string& topo, std::uint64_t seed,
-                                sim::qdisc queue, const sim::aqm_config& aqm_in,
-                                int memory, site_plan& sites) {
-  sim::aqm_config aqm = aqm_in;
-  aqm.discipline = queue;
-  if (topo == "dumbbell") {
-    exp::dumbbell_config cfg;
-    cfg.bottleneck_bps = path_bps;
-    cfg.seed = seed;
-    cfg.aqm = aqm;
-    cfg.probation_memory_slots = memory;
-    sites = {"r", "r"};
-    return exp::dumbbell(cfg);
-  }
-  if (topo == "parking_lot") {
-    exp::parking_lot_config cfg;
-    cfg.bottlenecks = 2;
-    cfg.bottleneck_bps = path_bps;
-    cfg.seed = seed;
-    cfg.aqm = aqm;
-    cfg.probation_memory_slots = memory;
-    sites = {"r2", "r2"};
-    return exp::parking_lot(cfg);
-  }
-  if (topo == "star") {
-    exp::star_config cfg;
-    cfg.spoke_bps = path_bps;
-    cfg.seed = seed;
-    cfg.aqm = aqm;
-    cfg.probation_memory_slots = memory;
-    sites = {"s1", "s1"};
-    return exp::star(cfg);
-  }
-  if (topo == "tree") {
-    exp::tree_config cfg;
-    cfg.depth = 2;
-    cfg.fanout = 2;
-    cfg.edge_bps = path_bps;
-    cfg.seed = seed;
-    cfg.aqm = aqm;
-    cfg.probation_memory_slots = memory;
-    // The adversary hides on a sibling leaf: it shares the contested
-    // root->t1_0 edge with the population and splits below it.
-    sites = {"t2_0", "t2_1"};
-    return exp::balanced_tree(cfg);
-  }
-  std::fprintf(stderr,
-               "bad value for --topos: '%s' (expected dumbbell, parking_lot, "
-               "star, tree, a comma list, or all)\n",
-               topo.c_str());
-  std::exit(1);
+/// The population and its hidden adversary share the contested path: both
+/// sit at the default receiver site, except on the tree, where the adversary
+/// hides on a sibling leaf — it shares the contested root->t1_0 edge with
+/// the population and splits below it.
+site_plan sites_for(const std::string& topo) {
+  if (topo == "parking_lot") return {"r2", "r2"};
+  if (topo == "star") return {"s1", "s1"};
+  if (topo == "tree") return {"t2_0", "t2_1"};
+  return {"r", "r"};
 }
 
 }  // namespace
@@ -137,14 +94,19 @@ int main(int argc, char** argv) {
   flags.add("flash-frac", "1.0",
             "flash-crowd size as a fraction of the base population");
   flags.add("attack-at", "40", "attack onset, seconds");
-  flags.add("attacks", "none,inflate_once",
-            "comma list of none|inflate_once|pulse_inflate|churn_flap|"
-            "deaf_receiver");
-  flags.add("topos", "dumbbell,tree",
-            "comma list of dumbbell|parking_lot|star|tree, or all");
-  flags.add("mode", "ds", "protocol world: ds (SIGMA-protected) or dl (plain)");
-  flags.add("attack-keys", "guess",
-            "key mode for inflate_once/pulse_inflate: best_effort|replay|guess");
+  flags.add_enum("attacks", "none,inflate_once", "attacks to sweep",
+                 {"none", "inflate_once", "pulse_inflate", "churn_flap",
+                  "deaf_receiver"},
+                 /*csv_list=*/true);
+  flags.add_enum("topos", "dumbbell,tree", "topologies to sweep",
+                 {"dumbbell", "parking_lot", "star", "tree", "all"},
+                 /*csv_list=*/true);
+  flags.add_enum("mode", "ds",
+                 "protocol world: ds (SIGMA-protected) or dl (plain)",
+                 {"ds", "dl"});
+  flags.add_enum("attack-keys", "guess",
+                 "key mode for inflate_once/pulse_inflate",
+                 {"best_effort", "replay", "guess"});
   flags.add("seed", "11", "simulation seed");
   exp::add_population_flags(flags, "1000,1000000");
   exp::add_probation_memory_flag(flags, "off");
@@ -176,29 +138,12 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string mode_name = flags.str("mode");
-  if (mode_name != "ds" && mode_name != "dl") {
-    std::fprintf(stderr, "bad value for --mode: '%s' (expected ds or dl)\n",
-                 mode_name.c_str());
-    return 1;
-  }
   const exp::flid_mode mode =
       mode_name == "ds" ? exp::flid_mode::ds : exp::flid_mode::dl;
   const adversary::key_mode keys =
-      adversary::key_mode_from_flag(flags.str("attack-keys"));
-
-  std::vector<std::string> attacks = util::split_csv(flags.str("attacks"));
-  for (const std::string& name : attacks) {
-    if (name == "none") continue;
-    const auto k = adversary::strategy_from_name(name);
-    if (!k.has_value() || *k == adversary::strategy_kind::honest) {
-      std::fprintf(stderr,
-                   "bad value for --attacks: '%s' (expected none, "
-                   "inflate_once, pulse_inflate, churn_flap, deaf_receiver, "
-                   "or a comma list)\n",
-                   name.c_str());
-      return 1;
-    }
-  }
+      adversary::key_mode_from_name(flags.str("attack-keys")).value();
+  const std::vector<std::string> attacks =
+      util::split_csv(flags.str("attacks"));
   const std::vector<std::string> topos =
       flags.str("topos") == "all"
           ? std::vector<std::string>{"dumbbell", "parking_lot", "star", "tree"}
@@ -222,9 +167,6 @@ int main(int argc, char** argv) {
   std::vector<cell> cells;
   for (const std::int64_t n : populations) {
     for (const std::string& t : topos) {
-      // Validate topology names up front (before worker threads).
-      site_plan probe;
-      (void)make_config(t, 1, sim::qdisc::droptail, aqm_base, 0, probe);
       for (const sim::qdisc q : qdiscs) {
         for (const std::string& a : attacks) {
           for (const int m : memories) cells.push_back({n, t, q, a, m});
@@ -252,9 +194,13 @@ int main(int argc, char** argv) {
     // and agents latch the per-point trace buffer at construction.
     obs::trace_buffer tb;
     obs::trace_scope scope(tracing ? &tb : nullptr);
-    site_plan sites;
-    exp::testbed d(
-        make_config(c.topo, pt.seed, c.queue, aqm_base, c.memory, sites));
+    const site_plan sites = sites_for(c.topo);
+    sim::aqm_config aqm = aqm_base;
+    aqm.discipline = c.queue;
+    exp::world_options world;
+    world.seed = pt.seed;
+    world.probation_memory_slots = c.memory;
+    exp::testbed d(exp::named_scenario(c.topo, path_bps, aqm, world));
 
     // One session: the aggregated honest audience plus, in attack cells, one
     // individually simulated adversary hiding at the same contested path.
@@ -262,25 +208,8 @@ int main(int argc, char** argv) {
     if (c.attack != "none") {
       exp::receiver_options attacker;
       attacker.at = sites.attacker;
-      const auto kind = *adversary::strategy_from_name(c.attack);
-      switch (kind) {
-        case adversary::strategy_kind::inflate_once:
-          attacker.attack = adversary::inflate_once(attack_at, keys);
-          break;
-        case adversary::strategy_kind::pulse_inflate:
-          attacker.attack = adversary::pulse_inflate(
-              attack_at, sim::seconds(5.0), sim::seconds(5.0), keys);
-          break;
-        case adversary::strategy_kind::churn_flap:
-          attacker.attack = adversary::churn_flap(attack_at, 1);
-          break;
-        case adversary::strategy_kind::deaf_receiver:
-          attacker.attack = adversary::deaf_receiver(attack_at);
-          break;
-        default:
-          util::require(false, "fig_flash_crowd: unhandled strategy",
-                        c.attack);
-      }
+      attacker.attack = adversary::make_profile(
+          adversary::strategy_from_name(c.attack).value(), attack_at, keys);
       rogues.push_back(attacker);
     }
     auto& session = d.add_flid_session(mode, rogues);

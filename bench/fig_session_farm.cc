@@ -43,10 +43,6 @@ using namespace mcc;
 
 namespace {
 
-struct site_plan {
-  std::string shared;  // the contested edge every session's receiver sits at
-};
-
 struct cell {
   int sessions = 2;
   std::string topo;
@@ -76,41 +72,6 @@ std::uint64_t cell_seed(std::uint64_t base, const cell& c) {
   return h;
 }
 
-exp::testbed_config make_config(const std::string& topo, std::uint64_t seed,
-                                sim::qdisc queue, const sim::aqm_config& aqm_in,
-                                double path_bps, bool cm,
-                                const cm::cm_config& cm_params,
-                                site_plan& sites) {
-  sim::aqm_config aqm = aqm_in;
-  aqm.discipline = queue;
-  if (topo == "dumbbell") {
-    exp::dumbbell_config cfg;
-    cfg.bottleneck_bps = path_bps;
-    cfg.seed = seed;
-    cfg.aqm = aqm;
-    cfg.cm = cm;
-    cfg.cm_params = cm_params;
-    sites = {"r"};
-    return exp::dumbbell(cfg);
-  }
-  if (topo == "parking_lot") {
-    exp::parking_lot_config cfg;
-    cfg.bottlenecks = 2;
-    cfg.bottleneck_bps = path_bps;
-    cfg.seed = seed;
-    cfg.aqm = aqm;
-    cfg.cm = cm;
-    cfg.cm_params = cm_params;
-    sites = {"r2"};
-    return exp::parking_lot(cfg);
-  }
-  std::fprintf(stderr,
-               "bad value for --topos: '%s' (expected dumbbell, parking_lot, "
-               "or a comma list)\n",
-               topo.c_str());
-  std::exit(1);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -123,13 +84,17 @@ int main(int argc, char** argv) {
             "this], seconds");
   flags.add("sessions", "2,8",
             "concurrent session count(s), comma-separated (2..64 each)");
-  flags.add("attacks", "none,inflate_once",
-            "comma list of none|inflate_once|pulse_inflate|deaf_receiver");
-  flags.add("topos", "dumbbell,parking_lot",
-            "comma list of dumbbell|parking_lot");
-  flags.add("mode", "ds", "protocol world: ds (SIGMA-protected) or dl (plain)");
-  flags.add("attack-keys", "guess",
-            "key mode for inflate_once/pulse_inflate: best_effort|replay|guess");
+  flags.add_enum("attacks", "none,inflate_once", "attacks to sweep",
+                 {"none", "inflate_once", "pulse_inflate", "deaf_receiver"},
+                 /*csv_list=*/true);
+  flags.add_enum("topos", "dumbbell,parking_lot", "topologies to sweep",
+                 {"dumbbell", "parking_lot"}, /*csv_list=*/true);
+  flags.add_enum("mode", "ds",
+                 "protocol world: ds (SIGMA-protected) or dl (plain)",
+                 {"ds", "dl"});
+  flags.add_enum("attack-keys", "guess",
+                 "key mode for inflate_once/pulse_inflate",
+                 {"best_effort", "replay", "guess"});
   flags.add("per-session-kbps", "250",
             "bottleneck capacity budgeted per session (link = N x this)");
   flags.add("check-sessions", "8",
@@ -165,15 +130,10 @@ int main(int argc, char** argv) {
     return 1;
   }
   const std::string mode_name = flags.str("mode");
-  if (mode_name != "ds" && mode_name != "dl") {
-    std::fprintf(stderr, "bad value for --mode: '%s' (expected ds or dl)\n",
-                 mode_name.c_str());
-    return 1;
-  }
   const exp::flid_mode mode =
       mode_name == "ds" ? exp::flid_mode::ds : exp::flid_mode::dl;
   const adversary::key_mode keys =
-      adversary::key_mode_from_flag(flags.str("attack-keys"));
+      adversary::key_mode_from_name(flags.str("attack-keys")).value();
   const double per_session_kbps = flags.f64("per-session-kbps");
   if (!(per_session_kbps >= 50.0 && per_session_kbps <= 10e3)) {
     std::fprintf(stderr,
@@ -196,19 +156,8 @@ int main(int argc, char** argv) {
     }
     session_counts.push_back(n);
   }
-  std::vector<std::string> attacks = util::split_csv(flags.str("attacks"));
-  for (const std::string& name : attacks) {
-    if (name == "none") continue;
-    const auto k = adversary::strategy_from_name(name);
-    if (!k.has_value() || *k == adversary::strategy_kind::honest) {
-      std::fprintf(stderr,
-                   "bad value for --attacks: '%s' (expected none, "
-                   "inflate_once, pulse_inflate, deaf_receiver, or a comma "
-                   "list)\n",
-                   name.c_str());
-      return 1;
-    }
-  }
+  const std::vector<std::string> attacks =
+      util::split_csv(flags.str("attacks"));
   const std::vector<std::string> topos = util::split_csv(flags.str("topos"));
   const std::vector<sim::qdisc> qdiscs = exp::qdisc_list_from_flags(flags);
   const sim::aqm_config aqm_base = exp::aqm_config_from_flags(flags);
@@ -218,10 +167,6 @@ int main(int argc, char** argv) {
   std::vector<cell> cells;
   for (const int n : session_counts) {
     for (const std::string& t : topos) {
-      // Validate topology names up front (before worker threads).
-      site_plan probe;
-      (void)make_config(t, 1, sim::qdisc::droptail, aqm_base, 1e6, false,
-                        cm_params, probe);
       for (const sim::qdisc q : qdiscs) {
         for (const std::string& a : attacks) {
           for (const bool c : cms) cells.push_back({n, t, q, a, c});
@@ -247,14 +192,21 @@ int main(int argc, char** argv) {
     const cell& c = cells[pt.index];
     obs::trace_buffer tb;
     obs::trace_scope scope(tracing ? &tb : nullptr);
-    site_plan sites;
     // The bottleneck grows with the farm so the per-session fair share
     // stays put: the sessions axis varies contention structure, not the
     // per-session budget.
     const double path_bps =
         per_session_kbps * 1e3 * static_cast<double>(c.sessions);
-    exp::testbed d(make_config(c.topo, cell_seed(base_seed, c), c.queue,
-                               aqm_base, path_bps, c.cm, cm_params, sites));
+    sim::aqm_config aqm = aqm_base;
+    aqm.discipline = c.queue;
+    exp::world_options world;
+    world.seed = cell_seed(base_seed, c);
+    world.cm = c.cm;
+    world.cm_params = cm_params;
+    exp::testbed d(exp::named_scenario(c.topo, path_bps, aqm, world));
+    // Every session's receivers sit at the contested edge: the far end of
+    // the path, the scenario's default receiver site.
+    const std::string shared_site = d.config().receiver_site;
 
     // Session 0 carries the farm's one misbehaving receiver; every other
     // session is an honest neighbour at the same contested edge.
@@ -262,27 +214,13 @@ int main(int argc, char** argv) {
     exp::flid_session* rogue = nullptr;
     if (c.attack != "none") {
       exp::receiver_options attacker;
-      attacker.at = sites.shared;
-      const auto kind = *adversary::strategy_from_name(c.attack);
-      switch (kind) {
-        case adversary::strategy_kind::inflate_once:
-          attacker.attack = adversary::inflate_once(attack_at, keys);
-          break;
-        case adversary::strategy_kind::pulse_inflate:
-          attacker.attack = adversary::pulse_inflate(
-              attack_at, sim::seconds(5.0), sim::seconds(5.0), keys);
-          break;
-        case adversary::strategy_kind::deaf_receiver:
-          attacker.attack = adversary::deaf_receiver(attack_at);
-          break;
-        default:
-          util::require(false, "fig_session_farm: unhandled strategy",
-                        c.attack);
-      }
+      attacker.at = shared_site;
+      attacker.attack = adversary::make_profile(
+          adversary::strategy_from_name(c.attack).value(), attack_at, keys);
       rogue = &d.add_flid_session(mode, {attacker});
     }
     exp::receiver_options neighbour;
-    neighbour.at = sites.shared;
+    neighbour.at = shared_site;
     const int honest_count = c.sessions - (rogue != nullptr ? 1 : 0);
     honest = d.add_session_array(honest_count, mode, {neighbour});
     d.run_until(horizon);

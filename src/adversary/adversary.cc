@@ -1,8 +1,6 @@
 #include "adversary/adversary.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "core/delta_layered.h"
 #include "util/require.h"
@@ -62,20 +60,6 @@ std::optional<key_mode> key_mode_from_name(const std::string& name) {
     if (name == key_mode_name(m)) return m;
   }
   return std::nullopt;
-}
-
-key_mode key_mode_from_flag(const std::string& name) {
-  const auto m = key_mode_from_name(name);
-  if (!m.has_value()) {
-    // A command-line typo, not a program invariant: same friendly UX as a
-    // bad numeric flag value.
-    std::fprintf(stderr,
-                 "bad value for --attack-keys: '%s' (expected best_effort, "
-                 "replay, or guess)\n",
-                 name.c_str());
-    std::exit(1);
-  }
-  return *m;
 }
 
 // ---------------------------------------------------------------------------
@@ -143,6 +127,26 @@ profile adaptive_churn(sim::time_ns start) {
   p.kind = strategy_kind::adaptive_churn;
   p.start = start;
   return p;
+}
+
+profile make_profile(strategy_kind kind, sim::time_ns start, key_mode keys,
+                     sim::time_ns pulse_on, sim::time_ns pulse_off,
+                     int flap_period) {
+  switch (kind) {
+    case strategy_kind::honest: return honest();
+    case strategy_kind::inflate_once: return inflate_once(start, keys);
+    case strategy_kind::pulse_inflate:
+      return pulse_inflate(start, pulse_on, pulse_off, keys);
+    case strategy_kind::churn_flap: return churn_flap(start, flap_period);
+    case strategy_kind::deaf_receiver: return deaf_receiver(start);
+    case strategy_kind::collusion: return collusion(start);
+    case strategy_kind::adaptive_pulse:
+      return adaptive_pulse(start, pulse_on, keys);
+    case strategy_kind::adaptive_churn: return adaptive_churn(start);
+  }
+  util::require(false, "make_profile: unknown strategy kind",
+                static_cast<int>(kind));
+  return honest();
 }
 
 // ---------------------------------------------------------------------------

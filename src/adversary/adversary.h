@@ -126,10 +126,6 @@ using key_mode = core::misbehaving_sigma_strategy::key_mode;
 /// Inverse of key_mode_name; nullopt on unknown.
 [[nodiscard]] std::optional<key_mode> key_mode_from_name(
     const std::string& name);
-/// Bench-main glue: like key_mode_from_name, but an unknown name prints a
-/// friendly message and exits(1) — the shared parser every bench with an
-/// --attack-keys flag uses instead of rolling its own.
-[[nodiscard]] key_mode key_mode_from_flag(const std::string& name);
 
 /// Declarative description of one receiver's (mis)behaviour. Defaults are
 /// honest; factories below fill the fields each strategy reads.
@@ -184,6 +180,16 @@ struct profile {
 /// Adaptive churn (grace riding); compiles to churn_flap(start, 1) in the
 /// plain world.
 [[nodiscard]] profile adaptive_churn(sim::time_ns start);
+
+/// The profile of any kind from one set of bench-level knobs: dispatches to
+/// the factory above, passing each the knobs it takes. `keys` backs the
+/// key-backed kinds except collusion, whose pool is its key source (it
+/// always pools best_effort); `flap_period` is churn_flap's slots per phase.
+[[nodiscard]] profile make_profile(strategy_kind kind, sim::time_ns start,
+                                   key_mode keys,
+                                   sim::time_ns pulse_on = sim::seconds(5.0),
+                                   sim::time_ns pulse_off = sim::seconds(5.0),
+                                   int flap_period = 1);
 
 /// Shared key pool of one coalition: colluders deposit every key they
 /// reconstruct and look up keys for layers they cannot prove themselves.

@@ -501,65 +501,96 @@ void testbed::run_until(sim::time_ns until) {
 namespace {
 
 /// Backbone link sized like every factory sizes links: queue of
-/// buffer_bdp bandwidth-delay products at the scenario base RTT. Carries the
-/// scenario's queue discipline; an unset AQM seed inherits the scenario seed
+/// buffer_bdp bandwidth-delay products at the world's base RTT. Carries the
+/// scenario's queue discipline; an unset AQM seed inherits the world seed
 /// so probabilistic policies follow the run's seed sweep.
-template <typename Cfg>
 sim::link_config backbone_link(double bps, sim::time_ns delay,
-                               const Cfg& cfg) {
+                               const sim::aqm_config& aqm,
+                               const world_options& world) {
   sim::link_config l;
   l.bps = bps;
   l.delay = delay;
-  l.queue_capacity_bytes = queue_bytes(bps, cfg.buffer_bdp, cfg.base_rtt);
-  l.aqm = cfg.aqm;
-  if (l.aqm.seed == 0) l.aqm.seed = cfg.seed;
+  l.queue_capacity_bytes = queue_bytes(bps, world.buffer_bdp, world.base_rtt);
+  l.aqm = aqm;
+  if (l.aqm.seed == 0) l.aqm.seed = world.seed;
   return l;
 }
 
 /// Assembles a testbed_config from a topology, the attachment sites, and the
-/// shared attachment-default fields every scenario config carries.
-template <typename Cfg>
+/// world_options slice of a scenario config.
 testbed_config scenario(sim::topology_builder topo, std::string sender_site,
-                        std::string receiver_site, const Cfg& cfg) {
+                        std::string receiver_site,
+                        const world_options& world) {
   testbed_config out;
+  static_cast<world_options&>(out) = world;
   out.topology = std::move(topo);
   out.sender_site = std::move(sender_site);
   out.receiver_site = std::move(receiver_site);
-  out.access_bps = cfg.access_bps;
-  out.access_delay = cfg.access_delay;
-  out.buffer_bdp = cfg.buffer_bdp;
-  out.base_rtt = cfg.base_rtt;
-  out.access_aqm = cfg.access_aqm;
-  out.interface_keying = cfg.interface_keying;
-  out.probation_memory_slots = cfg.probation_memory_slots;
-  out.cm = cfg.cm;
-  out.cm_params = cfg.cm_params;
-  out.seed = cfg.seed;
   return out;
+}
+
+/// A scenario config of type Cfg carrying `world` and backbone `aqm`.
+template <typename Cfg>
+Cfg on_world(const world_options& world, const sim::aqm_config& aqm) {
+  Cfg cfg;
+  static_cast<world_options&>(cfg) = world;
+  cfg.aqm = aqm;
+  return cfg;
 }
 
 }  // namespace
 
 testbed_config dumbbell(const dumbbell_config& cfg) {
-  const auto bn = backbone_link(cfg.bottleneck_bps, cfg.bottleneck_delay, cfg);
+  const auto bn =
+      backbone_link(cfg.bottleneck_bps, cfg.bottleneck_delay, cfg.aqm, cfg);
   return scenario(sim::dumbbell(bn), "l", "r", cfg);
 }
 
 testbed_config parking_lot(const parking_lot_config& cfg) {
-  const auto bn = backbone_link(cfg.bottleneck_bps, cfg.bottleneck_delay, cfg);
+  const auto bn =
+      backbone_link(cfg.bottleneck_bps, cfg.bottleneck_delay, cfg.aqm, cfg);
   return scenario(sim::parking_lot(cfg.bottlenecks, bn), "r0",
                   "r" + std::to_string(cfg.bottlenecks), cfg);
 }
 
 testbed_config star(const star_config& cfg) {
-  const auto spoke_link = backbone_link(cfg.spoke_bps, cfg.spoke_delay, cfg);
+  const auto spoke_link =
+      backbone_link(cfg.spoke_bps, cfg.spoke_delay, cfg.aqm, cfg);
   return scenario(sim::star(cfg.spokes, spoke_link), "hub", "s1", cfg);
 }
 
 testbed_config balanced_tree(const tree_config& cfg) {
-  const auto edge = backbone_link(cfg.edge_bps, cfg.edge_delay, cfg);
+  const auto edge = backbone_link(cfg.edge_bps, cfg.edge_delay, cfg.aqm, cfg);
   return scenario(sim::balanced_tree(cfg.depth, cfg.fanout, edge), "root",
                   "t" + std::to_string(cfg.depth) + "_0", cfg);
+}
+
+testbed_config named_scenario(const std::string& topo, double path_bps,
+                              const sim::aqm_config& aqm,
+                              const world_options& world) {
+  if (topo == "dumbbell") {
+    auto cfg = on_world<dumbbell_config>(world, aqm);
+    cfg.bottleneck_bps = path_bps;
+    return dumbbell(cfg);
+  }
+  if (topo == "parking_lot") {
+    auto cfg = on_world<parking_lot_config>(world, aqm);
+    cfg.bottlenecks = 2;
+    cfg.bottleneck_bps = path_bps;
+    return parking_lot(cfg);
+  }
+  if (topo == "star") {
+    auto cfg = on_world<star_config>(world, aqm);
+    cfg.spokes = 4;
+    cfg.spoke_bps = path_bps;
+    return star(cfg);
+  }
+  util::require(topo == "tree", "named_scenario: unknown topology", topo);
+  auto cfg = on_world<tree_config>(world, aqm);
+  cfg.depth = 2;
+  cfg.fanout = 2;
+  cfg.edge_bps = path_bps;
+  return balanced_tree(cfg);
 }
 
 double average_receiver_kbps(flid_session& session, sim::time_ns t0,
@@ -594,8 +625,60 @@ session_rollup session_rollup_for(const std::vector<flid_session*>& sessions,
 }
 
 // ---------------------------------------------------------------------------
-// AQM flag glue
+// Flag glue. Values out of range exit(1) with the friendly bad-flag message
+// here, in the bench's main thread: the component constructors check too,
+// but their invariant_error would surface out of a sweep worker thread as
+// std::terminate instead of a flag message.
 // ---------------------------------------------------------------------------
+
+namespace {
+
+[[noreturn]] void bad_flag(const char* flag, const std::string& v,
+                           const char* expected) {
+  std::fprintf(stderr, "bad value for --%s: '%s' (expected %s)\n", flag,
+               v.c_str(), expected);
+  std::exit(1);
+}
+
+[[noreturn]] void bad_number(const char* flag, double v,
+                             const char* expected) {
+  std::fprintf(stderr, "bad value for --%s: %g (expected %s)\n", flag, v,
+               expected);
+  std::exit(1);
+}
+
+double f64_in(const util::flag_set& flags, const char* flag, double lo,
+              double hi, const char* expected) {
+  const double v = flags.f64(flag);
+  if (!(v >= lo && v <= hi)) bad_number(flag, v, expected);
+  return v;
+}
+
+std::int64_t i64_in(const util::flag_set& flags, const char* flag,
+                    std::int64_t lo, std::int64_t hi, const char* expected) {
+  const std::int64_t v = flags.i64(flag);
+  if (v < lo || v > hi) bad_flag(flag, std::to_string(v), expected);
+  return v;
+}
+
+/// Registers an off|on|both countermeasure switch ("both" sweeps it as a
+/// grid axis); the parser rejects every other value.
+void add_off_on_both(util::flag_set& flags, const char* name, const char* def,
+                     const char* help) {
+  flags.add_enum(name, def, help, {"off", "on", "both"});
+}
+
+/// Decodes an add_off_on_both flag into its grid axis, in off-first order.
+template <typename T>
+std::vector<T> off_on_axis(const util::flag_set& flags, const char* name,
+                           T off, T on) {
+  const std::string v = flags.str(name);
+  if (v == "off") return {off};
+  if (v == "on") return {on};
+  return {off, on};
+}
+
+}  // namespace
 
 void add_aqm_flags(util::flag_set& flags) {
   flags.add_enum("qdisc", "droptail",
@@ -621,43 +704,23 @@ std::vector<sim::qdisc> qdisc_list_from_flags(const util::flag_set& flags) {
   }
   std::vector<sim::qdisc> out;
   for (const std::string& name : util::split_csv(spec)) {
+    // add_enum has already rejected unknown names and a non-standalone "all".
     const auto d = sim::qdisc_from_name(name);
-    if (!d.has_value()) {
-      // A typo on the command line, not a program invariant: fail with the
-      // same friendly UX as a bad numeric flag value.
-      std::fprintf(stderr,
-                   "bad value for --qdisc: '%s' (expected droptail, ecn, red, "
-                   "codel, a comma list, or all)\n",
-                   name.c_str());
-      std::exit(1);
-    }
+    util::require(d.has_value(), "qdisc_list_from_flags: unknown qdisc", name);
     out.push_back(*d);
   }
   return out;
 }
 
 sim::aqm_config aqm_config_from_flags(const util::flag_set& flags) {
-  // Range-check here, with the friendly bad-flag UX: the policy constructors
-  // also validate, but they throw on a sweep worker thread where an uncaught
-  // invariant_error is always std::terminate.
-  const auto checked = [&](const char* flag, double lo, double hi,
-                           const char* expect) {
-    const double v = flags.f64(flag);
-    if (!(v >= lo && v <= hi)) {
-      std::fprintf(stderr, "bad value for --%s: %g (expected %s)\n", flag, v,
-                   expect);
-      std::exit(1);
-    }
-    return v;
-  };
   sim::aqm_config cfg;
   cfg.discipline = qdisc_list_from_flags(flags).front();
   cfg.ecn_threshold_fraction =
-      checked("ecn-threshold", 0.0, 1.0, "a fraction in [0, 1]");
+      f64_in(flags, "ecn-threshold", 0.0, 1.0, "a fraction in [0, 1]");
   cfg.red.min_fraction =
-      checked("red-min", 1e-9, 1.0, "a capacity fraction in (0, 1]");
+      f64_in(flags, "red-min", 1e-9, 1.0, "a capacity fraction in (0, 1]");
   cfg.red.max_fraction =
-      checked("red-max", 1e-9, 1.0, "a capacity fraction in (0, 1]");
+      f64_in(flags, "red-max", 1e-9, 1.0, "a capacity fraction in (0, 1]");
   if (cfg.red.min_fraction >= cfg.red.max_fraction) {
     std::fprintf(stderr, "bad value for --red-min/--red-max: %g >= %g "
                          "(expected min < max)\n",
@@ -665,22 +728,21 @@ sim::aqm_config aqm_config_from_flags(const util::flag_set& flags) {
     std::exit(1);
   }
   cfg.red.max_prob =
-      checked("red-maxp", 1e-9, 1.0, "a probability in (0, 1]");
+      f64_in(flags, "red-maxp", 1e-9, 1.0, "a probability in (0, 1]");
   cfg.red.weight =
-      checked("red-weight", 1e-9, 1.0, "an EWMA weight in (0, 1]");
+      f64_in(flags, "red-weight", 1e-9, 1.0, "an EWMA weight in (0, 1]");
   cfg.red.gentle = flags.boolean("red-gentle");
-  cfg.codel.target = sim::milliseconds(static_cast<std::int64_t>(
-      checked("codel-target", 1.0, 1e9, "a positive millisecond count")));
-  cfg.codel.interval = sim::milliseconds(static_cast<std::int64_t>(
-      checked("codel-interval", 1.0, 1e9, "a positive millisecond count")));
+  cfg.codel.target = sim::milliseconds(static_cast<std::int64_t>(f64_in(
+      flags, "codel-target", 1.0, 1e9, "a positive millisecond count")));
+  cfg.codel.interval = sim::milliseconds(static_cast<std::int64_t>(f64_in(
+      flags, "codel-interval", 1.0, 1e9, "a positive millisecond count")));
   return cfg;
 }
 
 void add_cm_flags(util::flag_set& flags, const char* def) {
-  flags.add_enum("cm", def,
-                 "shared congestion manager across co-located sessions: both "
-                 "sweeps it as a grid axis",
-                 {"off", "on", "both"});
+  add_off_on_both(flags, "cm", def,
+                  "shared congestion manager across co-located sessions: both "
+                  "sweeps it as a grid axis");
   flags.add("cm-entries", "64", "cm: LRU state-cache capacity, entries");
   flags.add("cm-aging", "8", "cm: staleness window, slots");
   flags.add("cm-threshold", "0.25",
@@ -689,108 +751,48 @@ void add_cm_flags(util::flag_set& flags, const char* def) {
 }
 
 std::vector<bool> cm_axis_from_flags(const util::flag_set& flags) {
-  const std::string v = flags.str("cm");
-  if (v == "off") return {false};
-  if (v == "on") return {true};
-  if (v == "both") return {false, true};
-  std::fprintf(stderr,
-               "bad value for --cm: '%s' (expected off, on, or both)\n",
-               v.c_str());
-  std::exit(1);
+  return off_on_axis(flags, "cm", false, true);
 }
 
 cm::cm_config cm_config_from_flags(const util::flag_set& flags) {
-  // Range-check with the friendly bad-flag UX: the cm_config constructor
-  // checks too, but its invariant_error would surface out of a sweep worker
-  // thread as std::terminate instead of a flag message.
   cm::cm_config cfg;
-  const std::int64_t entries = flags.i64("cm-entries");
-  if (entries < 1 || entries > 1 << 20) {
-    std::fprintf(stderr,
-                 "bad value for --cm-entries: '%lld' (expected an entry "
-                 "count in [1, 2^20])\n",
-                 static_cast<long long>(entries));
-    std::exit(1);
+  cfg.max_entries = static_cast<int>(i64_in(
+      flags, "cm-entries", 1, 1 << 20, "an entry count in [1, 2^20]"));
+  cfg.aging_slots =
+      i64_in(flags, "cm-aging", 1, 1 << 20, "a slot count in [1, 2^20]");
+  cfg.congestion_threshold =
+      f64_in(flags, "cm-threshold", 0.0, 1.0, "a fraction in [0, 1]");
+  cfg.headroom = flags.f64("cm-headroom");
+  if (!(cfg.headroom > 0.0 && cfg.headroom <= 100.0)) {
+    bad_number("cm-headroom", cfg.headroom, "a multiplier in (0, 100]");
   }
-  cfg.max_entries = static_cast<int>(entries);
-  const std::int64_t aging = flags.i64("cm-aging");
-  if (aging < 1 || aging > 1 << 20) {
-    std::fprintf(stderr,
-                 "bad value for --cm-aging: '%lld' (expected a slot count in "
-                 "[1, 2^20])\n",
-                 static_cast<long long>(aging));
-    std::exit(1);
-  }
-  cfg.aging_slots = aging;
-  const double threshold = flags.f64("cm-threshold");
-  if (!(threshold >= 0.0 && threshold <= 1.0)) {
-    std::fprintf(stderr,
-                 "bad value for --cm-threshold: %g (expected a fraction in "
-                 "[0, 1])\n",
-                 threshold);
-    std::exit(1);
-  }
-  cfg.congestion_threshold = threshold;
-  const double headroom = flags.f64("cm-headroom");
-  if (!(headroom > 0.0 && headroom <= 100.0)) {
-    std::fprintf(stderr,
-                 "bad value for --cm-headroom: %g (expected a multiplier in "
-                 "(0, 100])\n",
-                 headroom);
-    std::exit(1);
-  }
-  cfg.headroom = headroom;
   return cfg;
 }
 
 void add_interface_keying_flag(util::flag_set& flags, const char* def) {
-  flags.add_enum("interface-keying", def,
-                 "collusion countermeasure (section 4.2): both sweeps it as "
-                 "a grid axis",
-                 {"off", "on", "both"});
+  add_off_on_both(flags, "interface-keying", def,
+                  "collusion countermeasure (section 4.2): both sweeps it as "
+                  "a grid axis");
 }
 
 std::vector<bool> interface_keying_axis_from_flags(
     const util::flag_set& flags) {
-  const std::string v = flags.str("interface-keying");
-  if (v == "off") return {false};
-  if (v == "on") return {true};
-  if (v == "both") return {false, true};
-  std::fprintf(stderr,
-               "bad value for --interface-keying: '%s' (expected off, on, or "
-               "both)\n",
-               v.c_str());
-  std::exit(1);
+  return off_on_axis(flags, "interface-keying", false, true);
 }
 
 void add_probation_memory_flag(util::flag_set& flags, const char* def) {
-  flags.add_enum("probation-memory", def,
-                 "router probation memory (adaptive_churn countermeasure): "
-                 "both sweeps it as a grid axis",
-                 {"off", "on", "both"});
+  add_off_on_both(flags, "probation-memory", def,
+                  "router probation memory (adaptive_churn countermeasure): "
+                  "both sweeps it as a grid axis");
   flags.add("probation-memory-slots", "8",
             "probation-memory window length in slots when on");
 }
 
 std::vector<int> probation_memory_axis_from_flags(const util::flag_set& flags) {
-  const std::int64_t slots = flags.i64("probation-memory-slots");
-  if (slots < 1 || slots > 1 << 20) {
-    std::fprintf(stderr,
-                 "bad value for --probation-memory-slots: '%lld' (expected a "
-                 "slot count in [1, 2^20])\n",
-                 static_cast<long long>(slots));
-    std::exit(1);
-  }
-  const std::string v = flags.str("probation-memory");
-  const int on = static_cast<int>(slots);
-  if (v == "off") return {0};
-  if (v == "on") return {on};
-  if (v == "both") return {0, on};
-  std::fprintf(stderr,
-               "bad value for --probation-memory: '%s' (expected off, on, or "
-               "both)\n",
-               v.c_str());
-  std::exit(1);
+  const auto slots = static_cast<int>(i64_in(flags, "probation-memory-slots",
+                                             1, 1 << 20,
+                                             "a slot count in [1, 2^20]"));
+  return off_on_axis(flags, "probation-memory", 0, slots);
 }
 
 // ---------------------------------------------------------------------------
@@ -798,13 +800,6 @@ std::vector<int> probation_memory_axis_from_flags(const util::flag_set& flags) {
 // ---------------------------------------------------------------------------
 
 namespace {
-
-[[noreturn]] void bad_flag(const char* flag, const std::string& v,
-                           const char* expected) {
-  std::fprintf(stderr, "bad value for --%s: '%s' (expected %s)\n", flag,
-               v.c_str(), expected);
-  std::exit(1);
-}
 
 /// Parses the non-negative number after a `key:` prefix; the whole spec is
 /// echoed in the bad-flag message so the offending list item is visible.

@@ -82,22 +82,20 @@ struct flow_options {
   std::string dst_at;                // empty = default receiver site
 };
 
-/// Everything a testbed needs to know: the topology description plus the
-/// attachment defaults shared by all hosts.
-struct testbed_config {
-  sim::topology_builder topology;
-  /// Default attachment routers; empty = first / last declared router.
-  std::string sender_site;
-  std::string receiver_site;
+/// The world-wide options every scenario shares: the attachment defaults of
+/// every host and the scenario-wide countermeasure contracts. Declared once
+/// here; testbed_config and every scenario config inherit it, so a contract
+/// set on a scenario reaches every edge and every receiver strategy.
+struct world_options {
   double access_bps = 10e6;
   sim::time_ns access_delay = sim::milliseconds(10);
-  /// Queue capacity of access links in bandwidth-delay products
+  /// Queue capacity of access and backbone links in bandwidth-delay products
   /// (link rate x base_rtt).
   double buffer_bdp = 2.0;
   sim::time_ns base_rtt = sim::milliseconds(80);
   /// Queue discipline of access links (drop-tail by default — backbone AQM
   /// is configured per scenario/link). An unset aqm.seed inherits the
-  /// testbed seed.
+  /// world seed.
   sim::aqm_config access_aqm;
   /// Interface keying, the collusion countermeasure of paper section 4.2:
   /// every SIGMA edge agent validates per-interface-perturbed keys and
@@ -122,6 +120,15 @@ struct testbed_config {
   /// Parameters of the shared manager when `cm` is on.
   cm::cm_config cm_params;
   std::uint64_t seed = 1;
+};
+
+/// Everything a testbed needs to know: the topology description, the default
+/// attachment sites, and the world options shared by all hosts.
+struct testbed_config : world_options {
+  sim::topology_builder topology;
+  /// Default attachment routers; empty = first / last declared router.
+  std::string sender_site;
+  std::string receiver_site;
 };
 
 /// One aggregated population attached to a session: the aggregate (member
@@ -321,29 +328,18 @@ class testbed {
 // Scenario factories: named topologies with paper-style attachment defaults
 // ---------------------------------------------------------------------------
 
+// Each scenario config inherits world_options and adds only its shape and
+// backbone links. Backbone links are sized like access links (buffer_bdp
+// bandwidth-delay products at base_rtt); an unset aqm.seed inherits the world
+// seed, so RED coin-flips follow the run's seed sweep.
+
 /// The single-bottleneck topology of paper section 5.1. Defaults follow the
 /// paper: 1 Mbps / 20 ms bottleneck, 10 Mbps / 10 ms access links, queues of
 /// two bandwidth-delay products at an 80 ms base RTT.
-struct dumbbell_config {
+struct dumbbell_config : world_options {
   double bottleneck_bps = 1e6;
   sim::time_ns bottleneck_delay = sim::milliseconds(20);
-  double access_bps = 10e6;
-  sim::time_ns access_delay = sim::milliseconds(10);
-  double buffer_bdp = 2.0;
-  sim::time_ns base_rtt = sim::milliseconds(80);
-  std::uint64_t seed = 1;
-  /// Bottleneck queue discipline. An unset aqm.seed inherits the scenario
-  /// seed, so RED coin-flips follow the run's seed sweep.
-  sim::aqm_config aqm;
-  /// Access-link queue discipline (default drop-tail).
-  sim::aqm_config access_aqm;
-  /// Interface keying (testbed_config::interface_keying).
-  bool interface_keying = false;
-  /// Router probation memory (testbed_config::probation_memory_slots).
-  int probation_memory_slots = 0;
-  /// Shared congestion manager (testbed_config::cm / cm_params).
-  bool cm = false;
-  cm::cm_config cm_params;
+  sim::aqm_config aqm;  // bottleneck queue discipline
 };
 
 /// Dumbbell testbed: senders attach at "l", receivers at "r".
@@ -352,42 +348,22 @@ struct dumbbell_config {
 /// k bottlenecks in series (routers "r0".."r<k>"); senders default to "r0",
 /// receivers to the far end "r<k>", so a default session crosses every
 /// bottleneck while cross traffic can load any single one.
-struct parking_lot_config {
+struct parking_lot_config : world_options {
   int bottlenecks = 2;
   double bottleneck_bps = 1e6;
   sim::time_ns bottleneck_delay = sim::milliseconds(20);
-  double access_bps = 10e6;
-  sim::time_ns access_delay = sim::milliseconds(10);
-  double buffer_bdp = 2.0;
-  sim::time_ns base_rtt = sim::milliseconds(80);
-  std::uint64_t seed = 1;
-  sim::aqm_config aqm;         // backbone queue discipline
-  sim::aqm_config access_aqm;  // access-link queue discipline (drop-tail)
-  bool interface_keying = false;  // testbed_config::interface_keying
-  int probation_memory_slots = 0;  // testbed_config::probation_memory_slots
-  bool cm = false;                // testbed_config::cm
-  cm::cm_config cm_params;        // testbed_config::cm_params
+  sim::aqm_config aqm;  // backbone queue discipline
 };
 
 [[nodiscard]] testbed_config parking_lot(const parking_lot_config& cfg = {});
 
 /// Hub-and-spoke: senders default to the hub, receivers to spoke "s1";
 /// receivers placed on distinct spokes contend only on their own spoke link.
-struct star_config {
+struct star_config : world_options {
   int spokes = 4;
   double spoke_bps = 1e6;
   sim::time_ns spoke_delay = sim::milliseconds(20);
-  double access_bps = 10e6;
-  sim::time_ns access_delay = sim::milliseconds(10);
-  double buffer_bdp = 2.0;
-  sim::time_ns base_rtt = sim::milliseconds(80);
-  std::uint64_t seed = 1;
-  sim::aqm_config aqm;         // backbone queue discipline
-  sim::aqm_config access_aqm;  // access-link queue discipline (drop-tail)
-  bool interface_keying = false;  // testbed_config::interface_keying
-  int probation_memory_slots = 0;  // testbed_config::probation_memory_slots
-  bool cm = false;                // testbed_config::cm
-  cm::cm_config cm_params;        // testbed_config::cm_params
+  sim::aqm_config aqm;  // backbone queue discipline
 };
 
 [[nodiscard]] testbed_config star(const star_config& cfg = {});
@@ -395,25 +371,25 @@ struct star_config {
 /// Balanced distribution tree: senders default to "root", receivers to the
 /// first leaf "t<depth>_0"; point-to-multipoint sessions fan out down the
 /// tree and each receiver sees only its own root-to-leaf path.
-struct tree_config {
+struct tree_config : world_options {
   int depth = 2;
   int fanout = 2;
   double edge_bps = 1e6;
   sim::time_ns edge_delay = sim::milliseconds(10);
-  double access_bps = 10e6;
-  sim::time_ns access_delay = sim::milliseconds(10);
-  double buffer_bdp = 2.0;
-  sim::time_ns base_rtt = sim::milliseconds(80);
-  std::uint64_t seed = 1;
-  sim::aqm_config aqm;         // backbone queue discipline
-  sim::aqm_config access_aqm;  // access-link queue discipline (drop-tail)
-  bool interface_keying = false;  // testbed_config::interface_keying
-  int probation_memory_slots = 0;  // testbed_config::probation_memory_slots
-  bool cm = false;                // testbed_config::cm
-  cm::cm_config cm_params;        // testbed_config::cm_params
+  sim::aqm_config aqm;  // backbone queue discipline
 };
 
 [[nodiscard]] testbed_config balanced_tree(const tree_config& cfg = {});
+
+/// One of the four named study shapes, by name: "dumbbell", "parking_lot"
+/// (2 bottlenecks), "star" (4 spokes) or "tree" (depth 2, fanout 2), each
+/// with its default sites and link delays. Every contested backbone link
+/// runs at `path_bps` under `aqm`; `world` supplies everything else. An
+/// unknown name throws util::invariant_error.
+[[nodiscard]] testbed_config named_scenario(const std::string& topo,
+                                            double path_bps,
+                                            const sim::aqm_config& aqm,
+                                            const world_options& world);
 
 /// Average of receiver throughputs over [t0, t1) in Kbps.
 [[nodiscard]] double average_receiver_kbps(flid_session& session,
@@ -448,13 +424,13 @@ void add_aqm_flags(util::flag_set& flags);
 
 /// Decodes the parameter flags into an aqm_config. The discipline is set to
 /// the FIRST entry of --qdisc; benches sweeping several override it per grid
-/// point. An unknown discipline name prints a friendly message and exits(1),
-/// like any other bad flag value (bench-main glue, not library API).
+/// point. Out-of-range parameters print a friendly message and exit(1), like
+/// any other bad flag value (bench-main glue, not library API).
 [[nodiscard]] sim::aqm_config aqm_config_from_flags(
     const util::flag_set& flags);
 
 /// The full --qdisc list in declaration order ("all" expands to every
-/// discipline). Same bad-name behaviour as aqm_config_from_flags.
+/// discipline). The parser has already rejected unknown names.
 [[nodiscard]] std::vector<sim::qdisc> qdisc_list_from_flags(
     const util::flag_set& flags);
 
@@ -467,8 +443,8 @@ void add_interface_keying_flag(util::flag_set& flags,
                                const char* def = "off");
 
 /// Decodes --interface-keying into the axis values to sweep, in off-first
-/// order ({false}, {true}, or {false, true}). An unknown value prints a
-/// friendly message and exits(1) — bench-main glue, like the AQM flags.
+/// order ({false}, {true}, or {false, true}). The parser has already
+/// rejected any other value.
 [[nodiscard]] std::vector<bool> interface_keying_axis_from_flags(
     const util::flag_set& flags);
 
@@ -482,9 +458,10 @@ void add_interface_keying_flag(util::flag_set& flags,
 void add_probation_memory_flag(util::flag_set& flags, const char* def = "off");
 
 /// Decodes the probation-memory flags into the axis of
-/// testbed_config::probation_memory_slots values to sweep, in off-first order
-/// ({0}, {N}, or {0, N}). Bad values print a friendly message and exit(1) —
-/// bench-main glue, like the AQM flags.
+/// world_options::probation_memory_slots values to sweep, in off-first order
+/// ({0}, {N}, or {0, N}). A --probation-memory-slots outside [1, 2^20]
+/// prints a friendly message and exits(1) — bench-main glue, like the AQM
+/// flags.
 [[nodiscard]] std::vector<int> probation_memory_axis_from_flags(
     const util::flag_set& flags);
 
@@ -500,8 +477,8 @@ void add_probation_memory_flag(util::flag_set& flags, const char* def = "off");
 void add_cm_flags(util::flag_set& flags, const char* def = "off");
 
 /// Decodes --cm into the axis values to sweep, in off-first order ({false},
-/// {true}, or {false, true}). Bad values print a friendly message and
-/// exit(1) — bench-main glue, like the AQM flags.
+/// {true}, or {false, true}). The parser has already rejected any other
+/// value.
 [[nodiscard]] std::vector<bool> cm_axis_from_flags(const util::flag_set& flags);
 
 /// Decodes the --cm-* parameter flags into a cm_config, with the friendly

@@ -87,7 +87,8 @@ bool enum_value_ok(const std::vector<std::string>& allowed, bool csv_list,
   };
   if (!csv_list) return ok_one(value);
   for (const std::string& part : split_csv(value)) {
-    if (!ok_one(part)) return false;
+    // "all" names the whole list, so it cannot be one element of a list.
+    if (!ok_one(part) || (part == "all" && part != value)) return false;
   }
   return true;
 }

@@ -38,7 +38,8 @@ class flag_set {
   /// else fails with "bad value for --name: 'v' (expected one of ...)".
   /// With `csv_list` every comma-separated element of the value must be one
   /// of the allowed names ("--qdisc droptail,red"); empty elements are
-  /// rejected. The default itself must validate.
+  /// rejected, and an allowed "all" must stand alone ("--qdisc all"). The
+  /// default itself must validate.
   void add_enum(const std::string& name, const std::string& default_value,
                 const std::string& help, std::vector<std::string> allowed,
                 bool csv_list = false);

@@ -78,6 +78,60 @@ TEST(adversary_profiles, factories_fill_their_fields) {
   EXPECT_TRUE(g.attacks());
 }
 
+void expect_same_profile(const profile& got, const profile& want,
+                         const char* kind) {
+  SCOPED_TRACE(kind);
+  EXPECT_EQ(got.kind, want.kind);
+  EXPECT_EQ(got.start, want.start);
+  EXPECT_EQ(got.inflate_level, want.inflate_level);
+  EXPECT_EQ(got.keys, want.keys);
+  EXPECT_EQ(got.pulse_on, want.pulse_on);
+  EXPECT_EQ(got.pulse_off, want.pulse_off);
+  EXPECT_EQ(got.flap_period_slots, want.flap_period_slots);
+  EXPECT_EQ(got.flap_depth, want.flap_depth);
+  EXPECT_EQ(got.coalition, want.coalition);
+}
+
+TEST(adversary_profiles, make_profile_matches_the_named_factories) {
+  // Non-default knobs everywhere, so a knob the dispatcher drops or routes
+  // to the wrong factory argument shows up as a field mismatch.
+  const sim::time_ns start = sim::seconds(12.0);
+  const key_mode keys = key_mode::replay;
+  const sim::time_ns on = sim::seconds(2.0);
+  const sim::time_ns off = sim::seconds(7.0);
+  const int flap = 3;
+  const auto made = [&](strategy_kind k) {
+    return make_profile(k, start, keys, on, off, flap);
+  };
+  const auto named = [&](strategy_kind k) -> profile {
+    switch (k) {
+      case strategy_kind::honest: return honest();
+      case strategy_kind::inflate_once: return inflate_once(start, keys);
+      case strategy_kind::pulse_inflate:
+        return pulse_inflate(start, on, off, keys);
+      case strategy_kind::churn_flap: return churn_flap(start, flap);
+      case strategy_kind::deaf_receiver: return deaf_receiver(start);
+      case strategy_kind::collusion: return collusion(start);
+      case strategy_kind::adaptive_pulse:
+        return adaptive_pulse(start, on, keys);
+      case strategy_kind::adaptive_churn: return adaptive_churn(start);
+    }
+    ADD_FAILURE() << "unnamed kind";
+    return honest();
+  };
+  std::vector<strategy_kind> kinds = all_attacks();
+  kinds.push_back(strategy_kind::honest);
+  for (const strategy_kind k : kinds) {
+    expect_same_profile(made(k), named(k), strategy_name(k));
+  }
+  // Collusion pools best-effort whatever key mode the bench asks for.
+  for (const key_mode m :
+       {key_mode::best_effort, key_mode::replay, key_mode::guess}) {
+    expect_same_profile(make_profile(strategy_kind::collusion, start, m),
+                        collusion(start), key_mode_name(m));
+  }
+}
+
 TEST(adversary_shim, legacy_and_profile_worlds_are_bit_identical) {
   // inflate_once reproduces the attacker of the retired receiver_options
   // inflate fields exactly — same strategy class, same seed-chain position —

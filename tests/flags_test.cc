@@ -214,6 +214,16 @@ TEST(flags, enum_csv_flag_validates_every_element) {
                   /*csv_list=*/true);
   const char* empty[] = {"prog", "--qdisc=droptail,,red"};
   EXPECT_FALSE(flags3.parse(2, empty));  // empty elements are typos too
+
+  // "all" names the whole list: alone it parses, inside a list it does not.
+  flag_set flags4;
+  flags4.add_enum("qdisc", "droptail", "queue discipline(s)",
+                  {"droptail", "ecn", "red", "codel", "all"},
+                  /*csv_list=*/true);
+  const char* all[] = {"prog", "--qdisc=all"};
+  ASSERT_TRUE(flags4.parse(2, all));
+  const char* all_in_list[] = {"prog", "--qdisc=droptail,all"};
+  EXPECT_FALSE(flags4.parse(2, all_in_list));
 }
 
 TEST(flags, enum_default_must_be_listed) {

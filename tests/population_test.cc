@@ -226,24 +226,9 @@ TEST(edge_aggregate, rejects_bad_configs) {
 
 exp::testbed_config conformance_config(const std::string& topo,
                                        std::uint64_t seed) {
-  if (topo == "dumbbell") {
-    exp::dumbbell_config cfg;
-    cfg.seed = seed;
-    return exp::dumbbell(cfg);
-  }
-  if (topo == "parking_lot") {
-    exp::parking_lot_config cfg;
-    cfg.seed = seed;
-    return exp::parking_lot(cfg);
-  }
-  if (topo == "star") {
-    exp::star_config cfg;
-    cfg.seed = seed;
-    return exp::star(cfg);
-  }
-  exp::tree_config cfg;
-  cfg.seed = seed;
-  return exp::balanced_tree(cfg);
+  exp::world_options world;
+  world.seed = seed;
+  return exp::named_scenario(topo, 1e6, sim::aqm_config{}, world);
 }
 
 sim::level_timeline individual_consolidated(const std::string& topo,

@@ -4,6 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "util/flags.h"
+#include "util/require.h"
+
 namespace mcc::exp {
 namespace {
 
@@ -163,6 +170,8 @@ TEST(scenario, interface_keying_threads_from_config_to_every_edge) {
   // receiver strategies compiled for that testbed submit them — an honest
   // DS session must climb exactly as without the countermeasure.
   EXPECT_FALSE(dumbbell_config{}.interface_keying);
+  EXPECT_FALSE(parking_lot_config{}.interface_keying);
+  EXPECT_FALSE(star_config{}.interface_keying);
   EXPECT_FALSE(tree_config{}.interface_keying);
   EXPECT_FALSE(testbed_config{}.interface_keying);
 
@@ -178,6 +187,140 @@ TEST(scenario, interface_keying_threads_from_config_to_every_edge) {
   EXPECT_GT(d.sigma().stats().valid_keys, 0u);
   EXPECT_EQ(d.sigma().stats().invalid_keys, 0u);
   EXPECT_GE(s.receiver().level(), 5);
+}
+
+// Non-default values for every world_options field, set by name: a field
+// named_scenario fails to carry shows up as a mismatch against the hand-built
+// config.
+void fill_world(world_options& w) {
+  w.access_bps = 5e6;
+  w.access_delay = sim::milliseconds(7);
+  w.buffer_bdp = 1.5;
+  w.base_rtt = sim::milliseconds(60);
+  w.access_aqm.discipline = sim::qdisc::codel;
+  w.interface_keying = true;
+  w.probation_memory_slots = 6;
+  w.cm = true;
+  w.cm_params.max_entries = 16;
+  w.seed = 99;
+}
+
+TEST(scenario, named_scenario_matches_the_hand_built_configs) {
+  const double path_bps = 2e6;
+  sim::aqm_config aqm;
+  aqm.discipline = sim::qdisc::red;  // seed unset: inherits the world seed
+  world_options world;
+  fill_world(world);
+
+  dumbbell_config db;
+  fill_world(db);
+  db.bottleneck_bps = path_bps;
+  db.aqm = aqm;
+  parking_lot_config pl;
+  fill_world(pl);
+  pl.bottlenecks = 2;
+  pl.bottleneck_bps = path_bps;
+  pl.aqm = aqm;
+  star_config st;
+  fill_world(st);
+  st.spokes = 4;
+  st.spoke_bps = path_bps;
+  st.aqm = aqm;
+  tree_config tr;
+  fill_world(tr);
+  tr.depth = 2;
+  tr.fanout = 2;
+  tr.edge_bps = path_bps;
+  tr.aqm = aqm;
+  const std::vector<std::pair<std::string, testbed_config>> shapes = {
+      {"dumbbell", dumbbell(db)},
+      {"parking_lot", parking_lot(pl)},
+      {"star", star(st)},
+      {"tree", balanced_tree(tr)}};
+
+  for (const auto& [name, hand_cfg] : shapes) {
+    SCOPED_TRACE(name);
+    testbed named(named_scenario(name, path_bps, aqm, world));
+    testbed hand(hand_cfg);
+    // Links derive per-link AQM streams from the configured seed, so an
+    // inherited seed shows as the same streams as an explicit world seed.
+    sim::aqm_config pinned_aqm = aqm;
+    pinned_aqm.seed = world.seed;
+    testbed pinned(named_scenario(name, path_bps, pinned_aqm, world));
+    ASSERT_GT(named.topo().backbone_count(), 0);
+    ASSERT_EQ(named.topo().backbone_count(), hand.topo().backbone_count());
+    for (int i = 0; i < named.topo().backbone_count(); ++i) {
+      const sim::link_config& n = named.bottleneck(i)->config();
+      const sim::link_config& h = hand.bottleneck(i)->config();
+      EXPECT_DOUBLE_EQ(n.bps, h.bps);
+      EXPECT_EQ(n.delay, h.delay);
+      EXPECT_EQ(n.queue_capacity_bytes, h.queue_capacity_bytes);
+      EXPECT_EQ(n.aqm.discipline, h.aqm.discipline);
+      EXPECT_EQ(n.aqm.seed, pinned.bottleneck(i)->config().aqm.seed);
+      EXPECT_EQ(n.aqm.seed, h.aqm.seed);
+    }
+    const testbed_config& n = named.config();
+    const testbed_config& h = hand.config();
+    EXPECT_EQ(n.sender_site, h.sender_site);
+    EXPECT_EQ(n.receiver_site, h.receiver_site);
+    EXPECT_DOUBLE_EQ(n.access_bps, h.access_bps);
+    EXPECT_EQ(n.access_delay, h.access_delay);
+    EXPECT_DOUBLE_EQ(n.buffer_bdp, h.buffer_bdp);
+    EXPECT_EQ(n.base_rtt, h.base_rtt);
+    EXPECT_EQ(n.access_aqm.discipline, h.access_aqm.discipline);
+    EXPECT_EQ(n.interface_keying, h.interface_keying);
+    EXPECT_EQ(n.probation_memory_slots, h.probation_memory_slots);
+    EXPECT_EQ(n.cm, h.cm);
+    EXPECT_EQ(n.cm_params.max_entries, h.cm_params.max_entries);
+    EXPECT_EQ(n.seed, h.seed);
+  }
+  EXPECT_THROW((void)named_scenario("ring", path_bps, aqm, world),
+               util::invariant_error);
+}
+
+/// Parses `args` into a flag set carrying the three countermeasure switches.
+util::flag_set countermeasure_flags(std::vector<const char*> args) {
+  util::flag_set flags;
+  add_interface_keying_flag(flags);
+  add_cm_flags(flags);
+  add_probation_memory_flag(flags);
+  args.insert(args.begin(), "prog");
+  EXPECT_TRUE(flags.parse(static_cast<int>(args.size()), args.data()));
+  return flags;
+}
+
+TEST(scenario_flags, countermeasure_axes_decode_off_first) {
+  const util::flag_set defaults = countermeasure_flags({});
+  EXPECT_EQ(interface_keying_axis_from_flags(defaults),
+            std::vector<bool>{false});
+  EXPECT_EQ(cm_axis_from_flags(defaults), std::vector<bool>{false});
+  EXPECT_EQ(probation_memory_axis_from_flags(defaults), std::vector<int>{0});
+
+  const util::flag_set on = countermeasure_flags(
+      {"--interface-keying=on", "--cm=on", "--probation-memory=on"});
+  EXPECT_EQ(interface_keying_axis_from_flags(on), std::vector<bool>{true});
+  EXPECT_EQ(cm_axis_from_flags(on), std::vector<bool>{true});
+  EXPECT_EQ(probation_memory_axis_from_flags(on), std::vector<int>{8});
+
+  const util::flag_set both = countermeasure_flags(
+      {"--interface-keying=both", "--cm=both", "--probation-memory=both",
+       "--probation-memory-slots=12"});
+  EXPECT_EQ(interface_keying_axis_from_flags(both),
+            (std::vector<bool>{false, true}));
+  EXPECT_EQ(cm_axis_from_flags(both), (std::vector<bool>{false, true}));
+  EXPECT_EQ(probation_memory_axis_from_flags(both),
+            (std::vector<int>{0, 12}));
+}
+
+TEST(scenario_flags, out_of_range_counts_exit_with_a_flag_message) {
+  const util::flag_set no_slots =
+      countermeasure_flags({"--probation-memory-slots=0"});
+  EXPECT_EXIT((void)probation_memory_axis_from_flags(no_slots),
+              ::testing::ExitedWithCode(1),
+              "bad value for --probation-memory-slots: '0'");
+  const util::flag_set no_entries = countermeasure_flags({"--cm-entries=0"});
+  EXPECT_EXIT((void)cm_config_from_flags(no_entries),
+              ::testing::ExitedWithCode(1), "bad value for --cm-entries: '0'");
 }
 
 TEST(scenario, negative_access_delay_is_rejected_loudly) {
