@@ -54,7 +54,7 @@ run_result run(exp::flid_mode mode, int sessions, double duration_s,
   if (want_trace) {
     sim::link* bn = d.bottleneck();
     for (int t = 1; t < static_cast<int>(duration_s); ++t) {
-      d.sched().at(sim::seconds(static_cast<double>(t)), [&res, bn, t] {
+      d.sched().post(sim::seconds(static_cast<double>(t)), [&res, bn, t] {
         res.queue_trace.emplace_back(static_cast<double>(t),
                                      static_cast<double>(bn->queued_bytes()));
       });

@@ -1,7 +1,7 @@
 // Microbenchmarks for the simulator substrate: event scheduling throughput
-// (events/sec), multicast fan-out cost (packets/sec), and whole-scenario
-// figures. items_per_second in the output is the headline number for the
-// first two.
+// (events/sec), multicast fan-out cost (packets/sec), per-hop link cost
+// (hops/sec), and whole-scenario figures. items_per_second in the output is
+// the headline number for the first three.
 #include <benchmark/benchmark.h>
 
 #include "exp/testbed.h"
@@ -111,6 +111,54 @@ static void bm_multicast_fanout(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatch * receivers);
 }
 BENCHMARK(bm_multicast_fanout)->Arg(4)->Arg(32)->Arg(256);
+
+static void bm_link_hop(benchmark::State& state) {
+  // Cost of one link hop: a multicast data packet crossing a line of N
+  // links, h0 -- r1 -- ... -- r(N-1) -- hN, each hop a transmit, a
+  // serialization, a delivery and a one-branch forward.
+  const int hops = static_cast<int>(state.range(0));
+  sim::scheduler s;
+  sim::network net(s);
+  const sim::group_addr group{1};
+  sim::link_config fast;
+  fast.bps = 1e12;
+  fast.delay = sim::microseconds(1);
+  const sim::node_id src = net.add_host("h0");
+  sim::node_id prev = src;
+  std::vector<sim::link*> line;
+  for (int i = 1; i <= hops; ++i) {
+    const sim::node_id next =
+        i == hops ? net.add_host("h" + std::to_string(i))
+                  : net.add_router("r" + std::to_string(i));
+    line.push_back(net.connect(prev, next, fast).first);
+    prev = next;
+  }
+  for (int i = 1; i < hops; ++i) {
+    line[static_cast<std::size_t>(i)]->from()->graft(
+        group, line[static_cast<std::size_t>(i)]);
+  }
+  line.back()->to()->host_join(group);
+  net.finalize_routing();
+
+  constexpr int kBatch = 64;
+  sim::flid_data hdr;
+  hdr.session_id = 1;
+  hdr.group_index = 1;
+  for (auto _ : state) {
+    for (int i = 0; i < kBatch; ++i) {
+      sim::packet p;
+      p.size_bytes = 576;
+      p.dst = sim::dest::to_group(group);
+      p.hdr = hdr;
+      net.get(src)->send(std::move(p));
+    }
+    s.run();
+    benchmark::DoNotOptimize(line.back()->stats().delivered);
+  }
+  // One item = one packet crossing one link.
+  state.SetItemsProcessed(state.iterations() * kBatch * hops);
+}
+BENCHMARK(bm_link_hop)->Arg(1)->Arg(8);
 
 static void bm_tcp_over_dumbbell(benchmark::State& state) {
   // Cost of simulating one second of a saturated 10 Mbps TCP transfer.

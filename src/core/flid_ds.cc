@@ -84,7 +84,7 @@ void honest_sigma_strategy::arm_retransmit(std::uint64_t msg_id) {
         }
         ++stats_.retransmits;
         stats_.ctrl_bytes += static_cast<std::uint64_t>(p->second.pkt.size_bytes);
-        net_->get(receiver_->host())->send(p->second.pkt);
+        net_->get(receiver_->host())->send(sim::packet(p->second.pkt));
         arm_retransmit(msg_id);
       });
 }

@@ -27,7 +27,7 @@ flid_receiver::~flid_receiver() {
 void flid_receiver::start(sim::time_ns at) {
   util::require(!started_, "flid_receiver: already started");
   started_ = true;
-  net_.sched().at(at, [this, alive = alive_] {
+  net_.sched().post(at, [this, alive = alive_] {
     if (!*alive) return;
     strategy_->session_start(*this);
     const sim::time_ns t = cfg_.slot_duration;

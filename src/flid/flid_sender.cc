@@ -43,7 +43,8 @@ void flid_sender::start(sim::time_ns at) {
 
   const sim::time_ns t = cfg_.slot_duration;
   const std::int64_t first_slot = (at + t - 1) / t;
-  net_.sched().at(first_slot * t, [this, first_slot] { begin_slot(first_slot); });
+  net_.sched().post(first_slot * t,
+                    [this, first_slot] { begin_slot(first_slot); });
 }
 
 std::uint32_t flid_sender::auth_mask_for_slot(std::int64_t slot) {
@@ -110,7 +111,7 @@ void flid_sender::begin_slot(std::int64_t slot) {
     }
   }
   train_.launch();
-  net_.sched().at(slot_start + t, [this, slot] { begin_slot(slot + 1); });
+  net_.sched().post(slot_start + t, [this, slot] { begin_slot(slot + 1); });
 }
 
 void flid_sender::send_packet(const slot_packet& s) {

@@ -27,7 +27,8 @@ void replicated_sender::start(sim::time_ns at) {
   net_.announce_session(ann);
   const sim::time_ns t = cfg_.slot_duration;
   const std::int64_t first_slot = (at + t - 1) / t;
-  net_.sched().at(first_slot * t, [this, first_slot] { begin_slot(first_slot); });
+  net_.sched().post(first_slot * t,
+                    [this, first_slot] { begin_slot(first_slot); });
 }
 
 std::uint32_t replicated_sender::auth_mask_for_slot(std::int64_t slot) {
@@ -75,7 +76,7 @@ void replicated_sender::begin_slot(std::int64_t slot) {
     }
   }
   train_.launch();
-  net_.sched().at(slot_start + t, [this, slot] { begin_slot(slot + 1); });
+  net_.sched().post(slot_start + t, [this, slot] { begin_slot(slot + 1); });
 }
 
 void replicated_sender::send_packet(const slot_packet& s) {
@@ -119,13 +120,13 @@ replicated_receiver::~replicated_receiver() {
 }
 
 void replicated_receiver::start(sim::time_ns at) {
-  net_.sched().at(at, [this] {
+  net_.sched().post(at, [this] {
     group_ = 1;
     join_time_ = net_.sched().now();
     membership_.join(cfg_.group(1));
     const sim::time_ns t = cfg_.slot_duration;
     const std::int64_t current = net_.sched().now() / t;
-    net_.sched().at((current + 1) * t + t / 2, [this, current] {
+    net_.sched().post((current + 1) * t + t / 2, [this, current] {
       evaluate_slot(current);
     });
   });
@@ -179,8 +180,8 @@ void replicated_receiver::evaluate_slot(std::int64_t slot) {
   while (!records_.empty() && records_.begin()->first <= slot) {
     records_.erase(records_.begin());
   }
-  net_.sched().at((slot + 2) * t + t / 2,
-                  [this, slot] { evaluate_slot(slot + 1); });
+  net_.sched().post((slot + 2) * t + t / 2,
+                    [this, slot] { evaluate_slot(slot + 1); });
 }
 
 }  // namespace mcc::flid

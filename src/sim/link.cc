@@ -13,8 +13,9 @@ constexpr std::int64_t default_queue_bytes(double bps) {
 }
 }  // namespace
 
-link::link(scheduler& sched, node* from, node* to, const link_config& cfg)
-    : sched_(sched), from_(from), to_(to), cfg_(cfg) {
+link::link(scheduler& sched, node* from, node* to, const link_config& cfg,
+           std::size_t index)
+    : sched_(sched), from_(from), to_(to), cfg_(cfg), index_(index) {
   util::require(cfg_.bps > 0, "link: rate must be positive");
   util::require(cfg_.delay >= 0, "link: negative propagation delay");
   if (cfg_.queue_capacity_bytes <= 0) {
@@ -43,7 +44,7 @@ double link::time_avg_queued_bytes(time_ns now) const {
   return integral / static_cast<double>(now);
 }
 
-void link::transmit(packet p) {
+void link::transmit(packet&& p) {
   const time_ns now = sched_.now();
   const aqm_queue_view view{queued_bytes_, cfg_.queue_capacity_bytes};
   // Physical backstop for every policy: a packet never enters a queue beyond
@@ -91,81 +92,86 @@ void link::transmit(packet p) {
                    static_cast<std::uint64_t>(p.size_bytes),
                    static_cast<std::uint64_t>(queued_bytes_));
   }
-  queue_.push_back(queued{now, std::move(p)});
+  queue_.emplace_back(now, std::move(p));
   if (!busy_) start_transmission();
 }
 
 void link::start_transmission() {
   const time_ns now = sched_.now();
   while (!queue_.empty()) {
-    queued qp = std::move(queue_.front());
-    queue_.pop_front();
+    queued& head = queue_.front();
     account_queue(now);
-    queued_bytes_ -= qp.p.size_bytes;
+    queued_bytes_ -= head.p.size_bytes;
     const aqm_queue_view view{queued_bytes_, cfg_.queue_capacity_bytes};
-    switch (aqm_->on_dequeue(qp.p, qp.enqueued_at, view, now)) {
+    switch (aqm_->on_dequeue(head.p, head.enqueued_at, view, now)) {
       case aqm_decision::drop:
         // CoDel sojourn drop: discard the head and consult the policy about
         // the next packet.
         ++stats_.dropped;
         ++stats_.aqm_dropped;
-        stats_.bytes_dropped += qp.p.size_bytes;
+        stats_.bytes_dropped += head.p.size_bytes;
         if (trace_ != nullptr) {
           trace_->record(now, obs::trace_event::packet_drop, trace_track_,
-                         static_cast<std::uint64_t>(qp.p.size_bytes), 2);
+                         static_cast<std::uint64_t>(head.p.size_bytes), 2);
         }
+        queue_.pop_front();
         continue;
       case aqm_decision::mark:
-        if (qp.p.ecn_capable && !qp.p.ecn_marked) {
-          qp.p.ecn_marked = true;
+        if (head.p.ecn_capable && !head.p.ecn_marked) {
+          head.p.ecn_marked = true;
           ++stats_.ecn_marked;
           if (trace_ != nullptr) {
             trace_->record(now, obs::trace_event::packet_mark, trace_track_,
-                           static_cast<std::uint64_t>(qp.p.size_bytes), 1);
+                           static_cast<std::uint64_t>(head.p.size_bytes), 1);
           }
         }
         break;
       case aqm_decision::pass:
         break;
     }
+    // The head stays in place while it serializes.
     busy_ = true;
-    serializing_ = std::move(qp.p);
-    const time_ns tx = transmission_time(serializing_.size_bytes, cfg_.bps);
-    sched_.after(tx, [this] { on_serialized(); });
+    sched_.post(now + transmission_time(head.p.size_bytes, cfg_.bps),
+                [this] { on_serialized(); });
     return;
   }
   busy_ = false;
 }
 
 void link::on_serialized() {
+  packet& p = queue_.front().p;
   ++stats_.delivered;
-  stats_.bytes_delivered += serializing_.size_bytes;
+  stats_.bytes_delivered += p.size_bytes;
   // The packet starts propagating while the link head becomes free for the
   // next packet.
-  flying_.push_back(
-      in_flight{sched_.now() + cfg_.delay, std::move(serializing_)});
+  const time_ns arrive_at = sched_.now() + cfg_.delay;
+  flying_.emplace_back(arrive_at, std::move(p));
+  queue_.pop_front();
   if (!delivery_armed_) {
     delivery_armed_ = true;
-    sched_.at(flying_.back().arrive_at, [this] { on_deliver(); });
+    sched_.post(arrive_at, [this] { on_deliver(); });
   }
   start_transmission();
 }
 
 void link::on_deliver() {
   util::require(!flying_.empty(), "link: delivery with nothing in flight");
-  packet p = std::move(flying_.front().p);
-  flying_.pop_front();
-  if (!flying_.empty()) {
-    sched_.at(flying_.front().arrive_at, [this] { on_deliver(); });
+  if (flying_.size() > 1) {
+    sched_.post(flying_[1].arrive_at, [this] { on_deliver(); });
   } else {
     delivery_armed_ = false;
   }
+  // The packet is handed over from its ring slot. Only on_serialized()
+  // pushes onto flying_, and it runs as its own event, so nothing the
+  // receiving node does can move the slot before the pop below.
+  packet& p = flying_.front().p;
   if (trace_ != nullptr) {
     trace_->record(sched_.now(), obs::trace_event::packet_deliver,
                    trace_track_, static_cast<std::uint64_t>(p.size_bytes),
                    p.uid);
   }
   to_->receive(std::move(p), this);
+  flying_.pop_front();
 }
 
 }  // namespace mcc::sim

@@ -3,20 +3,25 @@
 // delegated to a pluggable AQM policy (sim/aqm.h): drop-tail, threshold-ECN,
 // RED, or CoDel, selected via link_config::aqm.
 //
-// The transmit -> propagate chain runs on two per-link pooled timers (one
+// The transmit -> propagate chain runs on two per-link timers (one
 // serialization timer, one delivery timer) whose callbacks capture only the
-// link pointer: packets wait in the link's own queues instead of being moved
-// through per-hop closures, so forwarding a packet allocates nothing.
+// link pointer and are posted without a cancellation handle: packets wait in
+// the link's own ring queues (sim/ring_queue.h) instead of being moved
+// through per-hop closures, so forwarding a packet allocates nothing once
+// the rings have grown to the link's peak occupancy. A packet moves three
+// times per hop: into the waiting ring, from its head onto the in-flight
+// ring when serialization ends, and from there into the next node.
 #ifndef MCC_SIM_LINK_H
 #define MCC_SIM_LINK_H
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 
 #include "obs/trace.h"
 #include "sim/aqm.h"
+#include "sim/ring_queue.h"
 #include "sim/scheduler.h"
 #include "sim/wire.h"
 
@@ -50,13 +55,20 @@ struct link_stats {
 /// One direction of a wire. Created in pairs by network::connect().
 class link {
  public:
-  link(scheduler& sched, node* from, node* to, const link_config& cfg);
+  /// `index` is the link's position in its network's creation order
+  /// (network::links()).
+  link(scheduler& sched, node* from, node* to, const link_config& cfg,
+       std::size_t index);
   link(const link&) = delete;
   link& operator=(const link&) = delete;
 
   /// Hands a packet to the link for transmission; may drop (queue full or
   /// AQM early drop).
-  void transmit(packet p);
+  void transmit(packet&& p);
+
+  /// Position in network::links(): a per-world order that does not depend
+  /// on where the allocator put the link.
+  [[nodiscard]] std::size_t index() const { return index_; }
 
   [[nodiscard]] node* from() const { return from_; }
   [[nodiscard]] node* to() const { return to_; }
@@ -88,22 +100,23 @@ class link {
   node* to_;
   link* reverse_ = nullptr;
   link_config cfg_;
+  std::size_t index_;
   std::unique_ptr<aqm_policy> aqm_;
-  /// Waiting packets stamped with their arrival time (CoDel sojourn).
+  /// Waiting packets stamped with their arrival time (CoDel sojourn). While
+  /// busy_, the head is the packet being serialized: it has left the queue
+  /// as far as queued_bytes() and the AQM are concerned.
   struct queued {
     time_ns enqueued_at;
     packet p;
   };
-  std::deque<queued> queue_;
-  /// Head-of-line packet currently being serialized (valid while busy_).
-  packet serializing_;
+  ring_queue<queued> queue_;
   /// Packets in flight on the wire, FIFO by arrival time (the propagation
   /// delay is constant per link).
   struct in_flight {
     time_ns arrive_at;
     packet p;
   };
-  std::deque<in_flight> flying_;
+  ring_queue<in_flight> flying_;
   std::int64_t queued_bytes_ = 0;
   bool busy_ = false;
   bool delivery_armed_ = false;

@@ -57,11 +57,11 @@ std::pair<link*, link*> network::connect(node_id a, node_id b,
   util::require(!routing_final_, "network: topology frozen after routing");
   node* na = get(a);
   node* nb = get(b);
-  links_.push_back(std::make_unique<link>(sched_, na, nb,
-                                          with_link_seed(ab, links_.size())));
+  links_.push_back(std::make_unique<link>(
+      sched_, na, nb, with_link_seed(ab, links_.size()), links_.size()));
   link* fwd = links_.back().get();
-  links_.push_back(std::make_unique<link>(sched_, nb, na,
-                                          with_link_seed(ba, links_.size())));
+  links_.push_back(std::make_unique<link>(
+      sched_, nb, na, with_link_seed(ba, links_.size()), links_.size()));
   link* rev = links_.back().get();
   fwd->set_reverse(rev);
   rev->set_reverse(fwd);
@@ -149,7 +149,7 @@ void network::join_upstream(node_id edge_router, group_addr g) {
     elapsed += up->config().delay;
     link* down = up->reverse();
     node_id upstream_id = upstream->id();
-    sched_.after(elapsed, [this, upstream_id, g, down] {
+    sched_.post(sched_.now() + elapsed, [this, upstream_id, g, down] {
       get(upstream_id)->graft(g, down);
     });
     // If the upstream router already forwards this group, the join would be
@@ -173,7 +173,8 @@ void network::leave_upstream(node_id edge_router, group_addr g) {
     link* down = up->reverse();
     node_id upstream_id = upstream->id();
     node_id downstream_id = cur;
-    sched_.after(elapsed, [this, upstream_id, downstream_id, g, down] {
+    sched_.post(sched_.now() + elapsed,
+                [this, upstream_id, downstream_id, g, down] {
       node* u = get(upstream_id);
       // Prune only if the downstream branch has no remaining interest: the
       // downstream node must have no oifs of its own for the group (and no

@@ -13,31 +13,51 @@ void node::remove_agent(agent* a) {
   agents_.erase(std::remove(agents_.begin(), agents_.end(), a), agents_.end());
 }
 
-void node::graft(group_addr g, link* oif) { mcast_oifs_[g].insert(oif); }
+namespace {
+/// Oif order: link creation order, which is fixed per world. A null oif
+/// (grafted to hold a router on a tree with no interface to forward on)
+/// sorts first.
+std::size_t oif_rank(const link* l) {
+  return l == nullptr ? 0 : l->index() + 1;
+}
+bool oif_before(const link* a, const link* b) {
+  return oif_rank(a) < oif_rank(b);
+}
+}  // namespace
+
+void node::graft(group_addr g, link* oif) {
+  std::vector<link*>& list = mcast_oifs_[g];
+  const auto it = std::lower_bound(list.begin(), list.end(), oif, oif_before);
+  if (it == list.end() || *it != oif) list.insert(it, oif);
+}
 
 void node::prune(group_addr g, link* oif) {
-  auto it = mcast_oifs_.find(g);
-  if (it == mcast_oifs_.end()) return;
-  it->second.erase(oif);
-  if (it->second.empty()) mcast_oifs_.erase(it);
+  auto entry = mcast_oifs_.find(g);
+  if (entry == mcast_oifs_.end()) return;
+  std::vector<link*>& list = entry->second;
+  const auto it = std::lower_bound(list.begin(), list.end(), oif, oif_before);
+  if (it == list.end() || *it != oif) return;
+  list.erase(it);
+  if (list.empty()) mcast_oifs_.erase(entry);
 }
 
 bool node::has_oif(group_addr g, link* oif) const {
-  auto it = mcast_oifs_.find(g);
-  return it != mcast_oifs_.end() && it->second.contains(oif);
+  const auto* list = oifs(g);
+  return list != nullptr &&
+         std::binary_search(list->begin(), list->end(), oif, oif_before);
 }
 
-const std::set<link*>* node::oifs(group_addr g) const {
+const std::vector<link*>* node::oifs(group_addr g) const {
   auto it = mcast_oifs_.find(g);
   return it == mcast_oifs_.end() ? nullptr : &it->second;
 }
 
 int node::oif_count(group_addr g) const {
-  const auto* s = oifs(g);
-  return s == nullptr ? 0 : static_cast<int>(s->size());
+  const auto* list = oifs(g);
+  return list == nullptr ? 0 : static_cast<int>(list->size());
 }
 
-void node::send(packet p) {
+void node::send(packet&& p) {
   util::require(!out_links_.empty(), "node::send: node has no links");
   p.src = id_;
   if (p.uid == 0) p.uid = net_.new_packet_uid();
@@ -54,7 +74,7 @@ void node::send(packet p) {
   }
 }
 
-void node::receive(packet p, link* from) {
+void node::receive(packet&& p, link* from) {
   if (is_host()) {
     const bool for_us =
         (!p.dst.is_multicast() && p.dst.id == id_) ||
@@ -94,29 +114,34 @@ void node::deliver_local(const packet& p, link* from) {
   }
 }
 
-void node::forward(packet p, link* from) {
+void node::forward(packet&& p, link* from) {
   const auto* out = oifs(p.dst.group());
   if (out == nullptr) return;
-  // Copy the oif set (into a reused scratch buffer: no per-packet
+  // Snapshot the branches into a reused scratch buffer (no per-packet
   // allocation): policy callbacks may trigger grafts/prunes mid-loop.
-  fanout_scratch_.assign(out->begin(), out->end());
-  for (link* oif : fanout_scratch_) {
+  fanout_scratch_.clear();
+  for (link* oif : *out) {
     if (oif == nullptr || (from != nullptr && oif == from->reverse())) continue;
-    const bool host_facing = oif->to()->is_host();
-    if (host_facing) {
-      if (p.router_alert) continue;  // never deliver special packets to hosts
-      packet branch_copy = p;
-      if (policy_ != nullptr && !policy_->allow(branch_copy, oif)) {
-        ++stats_.policy_denied;
-        continue;
-      }
-      ++stats_.forwarded_multicast;
-      oif->transmit(std::move(branch_copy));
-      continue;
-    }
-    ++stats_.forwarded_multicast;
-    oif->transmit(p);  // copy per branch
+    // Special packets never reach hosts.
+    if (p.router_alert && oif->to()->is_host()) continue;
+    fanout_scratch_.push_back(oif);
   }
+  const std::size_t n = fanout_scratch_.size();
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    forward_branch(fanout_scratch_[i], packet(p));
+  }
+  if (n > 0) forward_branch(fanout_scratch_[n - 1], std::move(p));
+}
+
+void node::forward_branch(link* oif, packet&& p) {
+  // The policy sees this branch's own packet, so a mutation (DELTA's ECN
+  // scrub) stays on this branch.
+  if (policy_ != nullptr && oif->to()->is_host() && !policy_->allow(p, oif)) {
+    ++stats_.policy_denied;
+    return;
+  }
+  ++stats_.forwarded_multicast;
+  oif->transmit(std::move(p));
 }
 
 }  // namespace mcc::sim

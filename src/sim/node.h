@@ -1,15 +1,20 @@
 // Nodes: hosts (protocol endpoints) and routers (forwarding + group tables).
 //
 // Routers forward unicast packets via the network's static next-hop tables
-// and multicast packets via their per-group outgoing-interface sets. A
+// and multicast packets via their per-group outgoing-interface lists, kept
+// in link creation order (link::index()) so fan-out order does not depend on
+// heap addresses. Packets travel by rvalue: the last fan-out branch takes
+// the arriving packet itself and every other branch an explicit copy. A
 // pluggable access policy on host-facing interfaces is the hook SIGMA
 // implements; plain IGMP corresponds to "no policy" (always allow).
 #ifndef MCC_SIM_NODE_H
 #define MCC_SIM_NODE_H
 
-#include <map>
+#include <cstddef>
+#include <functional>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/link.h"
@@ -49,11 +54,11 @@ class node {
   [[nodiscard]] bool is_host() const { return !router_; }
 
   /// Entry point for packets arriving from a link (nullptr = locally injected).
-  void receive(packet p, link* from);
+  void receive(packet&& p, link* from);
 
   /// Hosts: originates a packet (unicast routing or multicast via the access
   /// link). Hosts have exactly one outgoing link.
-  void send(packet p);
+  void send(packet&& p);
 
   // --- agents ---------------------------------------------------------------
   void add_agent(agent* a) { agents_.push_back(a); }
@@ -71,10 +76,13 @@ class node {
   }
 
   // --- router multicast forwarding state -------------------------------------
+  /// Adds `oif` to the group's list; grafting a present oif is a no-op.
   void graft(group_addr g, link* oif);
+  /// Removes `oif` from the group's list; pruning an absent oif is a no-op.
   void prune(group_addr g, link* oif);
   [[nodiscard]] bool has_oif(group_addr g, link* oif) const;
-  [[nodiscard]] const std::set<link*>* oifs(group_addr g) const;
+  /// The group's oifs in link creation order, or nullptr if it has none.
+  [[nodiscard]] const std::vector<link*>* oifs(group_addr g) const;
   /// Number of outgoing interfaces currently grafted for the group.
   [[nodiscard]] int oif_count(group_addr g) const;
 
@@ -92,8 +100,17 @@ class node {
   [[nodiscard]] const counters& stats() const { return stats_; }
 
  private:
+  struct group_hash {
+    std::size_t operator()(group_addr g) const {
+      return std::hash<int>{}(g.value);
+    }
+  };
+
   void deliver_local(const packet& p, link* from);
-  void forward(packet p, link* from);
+  void forward(packet&& p, link* from);
+  /// One fan-out branch: consults the access policy on host-facing oifs,
+  /// then transmits.
+  void forward_branch(link* oif, packet&& p);
 
   network& net_;
   node_id id_;
@@ -103,10 +120,11 @@ class node {
   agent* alert_interceptor_ = nullptr;
   access_policy* policy_ = nullptr;
   std::set<group_addr> local_groups_;
-  std::map<group_addr, std::set<link*>> mcast_oifs_;
+  std::unordered_map<group_addr, std::vector<link*>, group_hash> mcast_oifs_;
   std::vector<link*> out_links_;
-  /// Reused multicast fan-out snapshot (packet delivery is never synchronous,
-  /// so forward() cannot re-enter while the loop runs).
+  /// Reused multicast fan-out snapshot of the branches a packet takes
+  /// (packet delivery is never synchronous, so forward() cannot re-enter
+  /// while the loop runs).
   std::vector<link*> fanout_scratch_;
   counters stats_;
 };

@@ -13,11 +13,16 @@
 // queue have warmed up; callables that fit event_fn's inline buffer never
 // touch the allocator at all. The queue is a 4-ary min-heap of
 // (when, seq, slot) entries: O(log n) schedule/pop.
+//
+// at() returns a cancellable handle; post() schedules the same way but
+// returns none, which spares the handle's reference-count traffic on timers
+// nobody cancels (link serialization and delivery, protocol slot ticks).
 #ifndef MCC_SIM_SCHEDULER_H
 #define MCC_SIM_SCHEDULER_H
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <new>
@@ -34,6 +39,8 @@ namespace mcc::sim {
 /// Callables up to `inline_size` bytes are stored in place; larger ones fall
 /// back to one heap allocation. Simulator-internal events (link timers,
 /// protocol slot ticks) capture a pointer and a few scalars and stay inline.
+/// Trivially copyable inline callables, and the pointer a heap callable is
+/// held by, relocate by memcpy instead of an indirect call.
 class event_fn {
  public:
   static constexpr std::size_t inline_size = 48;
@@ -74,12 +81,14 @@ class event_fn {
 
   void reset() {
     if (ops_ != nullptr) {
-      ops_->destroy(buf_);
+      if (ops_->destroy != nullptr) ops_->destroy(buf_);
       ops_ = nullptr;
     }
   }
 
  private:
+  /// A null relocate means "memcpy the buffer"; a null destroy, "nothing to
+  /// destroy".
   struct vtable {
     void (*invoke)(void*);
     void (*relocate)(void* dst, void* src);  // move-construct dst, destroy src
@@ -88,24 +97,28 @@ class event_fn {
 
   template <typename D>
   static const vtable* inline_ops() {
-    static constexpr vtable t{
-        [](void* b) { (*std::launder(reinterpret_cast<D*>(b)))(); },
-        [](void* dst, void* src) {
-          D* s = std::launder(reinterpret_cast<D*>(src));
-          ::new (dst) D(std::move(*s));
-          s->~D();
-        },
-        [](void* b) { std::launder(reinterpret_cast<D*>(b))->~D(); }};
-    return &t;
+    if constexpr (std::is_trivially_copyable_v<D>) {
+      static constexpr vtable t{
+          [](void* b) { (*std::launder(reinterpret_cast<D*>(b)))(); }, nullptr,
+          nullptr};
+      return &t;
+    } else {
+      static constexpr vtable t{
+          [](void* b) { (*std::launder(reinterpret_cast<D*>(b)))(); },
+          [](void* dst, void* src) {
+            D* s = std::launder(reinterpret_cast<D*>(src));
+            ::new (dst) D(std::move(*s));
+            s->~D();
+          },
+          [](void* b) { std::launder(reinterpret_cast<D*>(b))->~D(); }};
+      return &t;
+    }
   }
 
   template <typename D>
   static const vtable* heap_ops() {
     static constexpr vtable t{
-        [](void* b) { (**std::launder(reinterpret_cast<D**>(b)))(); },
-        [](void* dst, void* src) {
-          ::new (dst) D*(*std::launder(reinterpret_cast<D**>(src)));
-        },
+        [](void* b) { (**std::launder(reinterpret_cast<D**>(b)))(); }, nullptr,
         [](void* b) { delete *std::launder(reinterpret_cast<D**>(b)); }};
     return &t;
   }
@@ -113,7 +126,11 @@ class event_fn {
   void move_from(event_fn& other) {
     ops_ = other.ops_;
     if (ops_ != nullptr) {
-      ops_->relocate(buf_, other.buf_);
+      if (ops_->relocate == nullptr) {
+        std::memcpy(buf_, other.buf_, inline_size);
+      } else {
+        ops_->relocate(buf_, other.buf_);
+      }
       other.ops_ = nullptr;
     }
   }
@@ -231,14 +248,21 @@ class scheduler {
   [[nodiscard]] time_ns now() const { return now_; }
 
   /// Schedules `fn` at absolute time `at` (must not be in the past).
-  event_handle at(time_ns when, event_fn fn) {
+  event_handle at(time_ns when, event_fn&& fn) {
     util::require(when >= now_, "scheduler: event scheduled in the past");
-    return push_event(when, next_seq_++, std::move(fn));
+    return handle_of(push_event(when, next_seq_++, std::move(fn)));
   }
 
   /// Schedules `fn` after a relative delay.
-  event_handle after(time_ns delay, event_fn fn) {
+  event_handle after(time_ns delay, event_fn&& fn) {
     return at(now_ + delay, std::move(fn));
+  }
+
+  /// at() without a handle: the event takes the same sequence number an
+  /// at() call would have and cannot be cancelled.
+  void post(time_ns when, event_fn&& fn) {
+    util::require(when >= now_, "scheduler: event scheduled in the past");
+    push_event(when, next_seq_++, std::move(fn));
   }
 
   /// Hands out the next `n` tie-break sequence numbers — exactly the ones
@@ -255,11 +279,11 @@ class scheduler {
   /// have fired it: among equal-time events, after those scheduled before
   /// the reservation and before those scheduled after it. Schedule each
   /// reserved number at most once.
-  event_handle at(time_ns when, reserved_seq seq, event_fn fn) {
+  event_handle at(time_ns when, reserved_seq seq, event_fn&& fn) {
     util::require(seq.value_ < next_seq_,
                   "scheduler: sequence number was not reserved");
     util::require(when >= now_, "scheduler: event scheduled in the past");
-    return push_event(when, seq.value_, std::move(fn));
+    return handle_of(push_event(when, seq.value_, std::move(fn)));
   }
 
   /// Runs events until the queue drains or simulated time would pass `until`.
@@ -310,8 +334,9 @@ class scheduler {
     return a.when < b.when || (a.when == b.when && a.seq < b.seq);
   }
 
-  /// Parks `fn` in a slab slot and queues it under (when, seq).
-  event_handle push_event(time_ns when, std::uint64_t seq, event_fn fn) {
+  /// Parks `fn` in a slab slot and queues it under (when, seq); returns the
+  /// slot.
+  std::uint32_t push_event(time_ns when, std::uint64_t seq, event_fn&& fn) {
     std::uint32_t idx;
     if (!pool_->free_list.empty()) {
       idx = pool_->free_list.back();
@@ -325,7 +350,11 @@ class scheduler {
     slot.fn = std::move(fn);
     heap_push(entry{when, seq, idx});
     if (heap_.size() > max_pending_) max_pending_ = heap_.size();
-    return event_handle(pool_, idx, slot.gen);
+    return idx;
+  }
+
+  event_handle handle_of(std::uint32_t idx) {
+    return event_handle(pool_, idx, pool_->slots[idx].gen);
   }
 
   /// Pops the globally least (when, seq) entry with when <= limit into `out`;

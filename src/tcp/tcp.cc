@@ -57,7 +57,7 @@ tcp_sender::tcp_sender(sim::network& net, sim::node_id host, sim::node_id peer,
       cwnd_(cfg.initial_cwnd),
       ssthresh_(cfg.initial_ssthresh) {
   net_.get(host_)->add_agent(this);
-  net_.sched().at(cfg_.start_time, [this] { try_send(); });
+  net_.sched().post(cfg_.start_time, [this] { try_send(); });
 }
 
 bool tcp_sender::handle_packet(const sim::packet& p, sim::link*) {

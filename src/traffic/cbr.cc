@@ -18,7 +18,7 @@ cbr_source::cbr_source(sim::network& net, sim::node_id host, sim::node_id peer,
                        const cbr_config& cfg)
     : net_(net), host_(host), peer_(peer), cfg_(cfg) {
   util::require(cfg_.rate_bps > 0, "cbr_source: rate must be positive");
-  net_.sched().at(cfg_.start_time, [this] { send_next(); });
+  net_.sched().post(cfg_.start_time, [this] { send_next(); });
 }
 
 bool cbr_source::on_at(sim::time_ns t) const {
@@ -44,7 +44,7 @@ void cbr_source::send_next() {
   if (!on_at(now)) {
     const sim::time_ns resume = next_on_start(now);
     if (resume >= cfg_.stop_time) return;
-    net_.sched().at(resume, [this] { send_next(); });
+    net_.sched().post(resume, [this] { send_next(); });
     return;
   }
   sim::packet p;
@@ -55,7 +55,7 @@ void cbr_source::send_next() {
   ++packets_sent_;
   const sim::time_ns gap =
       sim::transmission_time(cfg_.packet_bytes, cfg_.rate_bps);
-  net_.sched().after(gap, [this] { send_next(); });
+  net_.sched().post(net_.sched().now() + gap, [this] { send_next(); });
 }
 
 }  // namespace mcc::traffic

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "test_util.h"
 
 namespace mcc::sim {
@@ -282,6 +284,66 @@ TEST(link, codel_drops_at_dequeue_and_preserves_order) {
   EXPECT_EQ(sink.packets.size(), st.delivered);
 }
 
+TEST(link, ring_queue_wraps_and_grows_under_codel_head_drops) {
+  scheduler s;
+  link_config cfg;
+  cfg.bps = 1e5;  // 80 ms per 1000-byte packet
+  cfg.delay = milliseconds(30);
+  cfg.queue_capacity_bytes = 60'000;
+  cfg.aqm.discipline = qdisc::codel;
+  cfg.aqm.codel.ecn = false;
+  two_hosts t(s, cfg);
+  capture_agent sink(t.net, t.b);
+  // Bursts of twenty every 1.5 s (1.07x the line rate): each burst grows
+  // the ring past its initial capacity, the head moves on between bursts so
+  // later bursts wrap around the ring, and CoDel drops at the head as the
+  // sojourn time builds.
+  constexpr int kBursts = 12;
+  constexpr int kBurst = 20;
+  std::int64_t seq = 0;
+  for (int b = 0; b < kBursts; ++b) {
+    s.at(milliseconds(1500) * b, [&t, &seq] {
+      for (int k = 0; k < kBurst; ++k) {
+        packet p = make_packet(1000, t.b);
+        p.hdr = cbr_payload{1, seq++};
+        t.net.get(t.a)->send(std::move(p));
+      }
+    });
+  }
+  // Every packet taken in is serialized, dropped by CoDel at the head, or
+  // still waiting; the one being serialized has left queued_bytes().
+  int samples = 0;
+  for (int k = 1; k < 400; ++k) {
+    s.at(milliseconds(47) * k, [&t, &samples] {
+      const link_stats& st = t.fwd->stats();
+      const std::uint64_t waiting =
+          static_cast<std::uint64_t>(t.fwd->queued_bytes() / 1000);
+      const std::uint64_t accounted = st.delivered + st.aqm_dropped + waiting;
+      EXPECT_TRUE(accounted == st.enqueued || accounted + 1 == st.enqueued)
+          << "enqueued " << st.enqueued << " accounted " << accounted;
+      ++samples;
+    });
+  }
+  s.run();
+  EXPECT_EQ(samples, 399);
+  const link_stats& st = t.fwd->stats();
+  EXPECT_EQ(st.enqueued, std::uint64_t{kBurst} * kBursts);  // never full
+  EXPECT_GT(st.aqm_dropped, 0u);
+  EXPECT_EQ(st.dropped, st.aqm_dropped);
+  EXPECT_EQ(st.delivered + st.aqm_dropped, st.enqueued);
+  EXPECT_EQ(t.fwd->queued_bytes(), 0);
+  // More than twice the ring's initial capacity waited at once.
+  EXPECT_GT(st.max_queued_bytes, 16 * 1000);
+  ASSERT_EQ(sink.packets.size(), st.delivered);
+  std::int64_t prev = -1;
+  for (const auto& p : sink.packets) {
+    const auto* hdr = header_as<cbr_payload>(p);
+    ASSERT_NE(hdr, nullptr);
+    EXPECT_GT(hdr->seq, prev);
+    prev = hdr->seq;
+  }
+}
+
 TEST(link, time_average_queue_tracks_occupancy) {
   scheduler s;
   link_config cfg;
@@ -295,6 +357,36 @@ TEST(link, time_average_queue_tracks_occupancy) {
   // afterwards; at t = 32 ms the time-average is (3+2+1)*8/32 = 1500 bytes.
   EXPECT_EQ(s.now(), milliseconds(32));
   EXPECT_DOUBLE_EQ(t.fwd->time_avg_queued_bytes(s.now()), 1'500.0);
+}
+
+TEST(ring_queue, keeps_fifo_order_across_wraps_and_growth) {
+  ring_queue<std::shared_ptr<int>> q;
+  const auto token = std::make_shared<int>(0);
+  int next_in = 0;
+  int next_out = 0;
+  // Push three, pop two per round: the head keeps moving, so the ring wraps
+  // at every capacity it grows through.
+  for (int round = 0; round < 40; ++round) {
+    for (int k = 0; k < 3; ++k) {
+      q.emplace_back(std::make_shared<int>(next_in++));
+    }
+    for (int k = 0; k < 2; ++k) {
+      ASSERT_EQ(*q.front(), next_out++);
+      q.pop_front();
+    }
+    ASSERT_EQ(q.size(), static_cast<std::size_t>(round + 1));
+    ASSERT_EQ(*q[q.size() - 1], next_in - 1);
+  }
+  EXPECT_EQ(q.capacity(), 64u);  // 8 -> 16 -> 32 -> 64, powers of two
+  // Popping destroys the element: a held pointer is released at once.
+  q.emplace_back(token);
+  EXPECT_EQ(token.use_count(), 2);
+  while (q.size() > 1) q.pop_front();
+  EXPECT_EQ(token.use_count(), 2);
+  q.pop_front();
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.capacity(), 64u);  // capacity is kept
 }
 
 TEST(link, rejects_invalid_config) {

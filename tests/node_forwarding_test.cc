@@ -1,6 +1,11 @@
 // Router forwarding edge cases: reverse-path suppression, no-route
-// accounting, policy deny/mutate semantics, and multi-branch fanout.
+// accounting, policy deny/mutate semantics, multi-branch fanout, and the
+// multicast table's graft/prune bookkeeping and oif order.
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "test_util.h"
 
@@ -187,6 +192,101 @@ TEST(node_forwarding, self_addressed_unicast_delivers_to_router_agents) {
   s.run();
   EXPECT_EQ(mgmt.packets.size(), 1u);
   EXPECT_EQ(net.get(r)->stats().delivered_local, 1u);
+}
+
+/// A router with `hosts` hosts hanging off it, connected in order h0, h1, ...
+struct star {
+  star(scheduler& s, int hosts) : net(s) {
+    r = net.add_router("r");
+    for (int i = 0; i < hosts; ++i) {
+      const node_id h = net.add_host("h" + std::to_string(i));
+      host.push_back(h);
+      oif.push_back(net.connect(r, h, link_config{}).first);
+    }
+    net.finalize_routing();
+  }
+  network net;
+  node_id r;
+  std::vector<node_id> host;
+  std::vector<link*> oif;  // r -> host[i], in creation order
+};
+
+TEST(node_forwarding, graft_and_prune_are_idempotent_and_agree_with_queries) {
+  scheduler s;
+  star t(s, 4);
+  node& r = *t.net.get(t.r);
+  const group_addr g{500};
+  const group_addr other{501};
+  const auto expect_consistent = [&] {
+    int present = 0;
+    for (link* l : t.oif) present += r.has_oif(g, l) ? 1 : 0;
+    EXPECT_EQ(present, r.oif_count(g));
+    const auto* list = r.oifs(g);
+    EXPECT_EQ(list == nullptr ? 0 : static_cast<int>(list->size()),
+              r.oif_count(g));
+  };
+
+  r.prune(g, t.oif[0]);  // unknown group: a no-op
+  EXPECT_EQ(r.oifs(g), nullptr);
+  expect_consistent();
+  r.graft(g, t.oif[2]);
+  r.graft(g, t.oif[2]);  // second graft of the same oif: a no-op
+  EXPECT_EQ(r.oif_count(g), 1);
+  expect_consistent();
+  r.graft(g, t.oif[0]);
+  r.prune(g, t.oif[3]);  // absent oif: a no-op
+  EXPECT_EQ(r.oif_count(g), 2);
+  EXPECT_TRUE(r.has_oif(g, t.oif[0]));
+  EXPECT_FALSE(r.has_oif(g, t.oif[3]));
+  EXPECT_FALSE(r.has_oif(other, t.oif[0]));
+  expect_consistent();
+  r.prune(g, t.oif[2]);
+  r.prune(g, t.oif[2]);
+  EXPECT_EQ(r.oif_count(g), 1);
+  expect_consistent();
+  r.prune(g, t.oif[0]);  // the last oif: the group's entry goes away
+  EXPECT_EQ(r.oifs(g), nullptr);
+  EXPECT_EQ(r.oif_count(g), 0);
+  expect_consistent();
+}
+
+TEST(node_forwarding, fanout_follows_link_creation_order) {
+  // Grafted in reverse, the oifs still list (and fan out) in the order the
+  // links were created, whatever their addresses.
+  scheduler s;
+  star t(s, 4);
+  node& r = *t.net.get(t.r);
+  const group_addr g{600};
+  for (int i = 3; i >= 0; --i) r.graft(g, t.oif[static_cast<std::size_t>(i)]);
+  ASSERT_NE(r.oifs(g), nullptr);
+  EXPECT_EQ(*r.oifs(g), t.oif);
+
+  // Equal links: every branch finishes serializing at the same instant, so
+  // deliveries tie and fire in fan-out order.
+  struct arrivals : agent {
+    explicit arrivals(std::vector<node_id>& log, node_id self)
+        : log_(log), self_(self) {}
+    bool handle_packet(const packet&, link*) override {
+      log_.push_back(self_);
+      return true;
+    }
+    std::vector<node_id>& log_;
+    node_id self_;
+  };
+  std::vector<node_id> log;
+  std::vector<std::unique_ptr<arrivals>> sinks;
+  for (node_id h : t.host) {
+    t.net.get(h)->host_join(g);
+    sinks.push_back(std::make_unique<arrivals>(log, h));
+    t.net.get(h)->add_agent(sinks.back().get());
+  }
+  packet p;
+  p.size_bytes = 100;
+  p.dst = dest::to_group(g);
+  r.receive(std::move(p), nullptr);
+  s.run();
+  EXPECT_EQ(log, t.host);
+  EXPECT_EQ(r.stats().forwarded_multicast, 4u);
 }
 
 }  // namespace

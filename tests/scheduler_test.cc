@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "crypto/prng.h"
@@ -208,6 +210,76 @@ TEST(scheduler, executed_event_count) {
   for (int i = 0; i < 5; ++i) s.at(milliseconds(i), [] {});
   s.run();
   EXPECT_EQ(s.executed_events(), 5u);
+}
+
+TEST(scheduler, post_interleaves_with_at_in_when_seq_order) {
+  scheduler s;
+  std::vector<int> order;
+  s.at(milliseconds(2), [&] { order.push_back(0); });
+  s.post(milliseconds(1), [&] { order.push_back(1); });
+  s.at(milliseconds(1), [&] { order.push_back(2); });
+  s.post(milliseconds(2), [&] { order.push_back(3); });
+  s.post(milliseconds(1), [&] {
+    order.push_back(4);
+    // Scheduled now, for now: after everything already due at this time.
+    s.post(s.now(), [&] { order.push_back(5); });
+    s.at(s.now(), [&] { order.push_back(6); });
+  });
+  EXPECT_EQ(s.pending_events(), 5u);
+  // A long equal-time run mixing both: each takes its own sequence number,
+  // so they fire exactly in scheduling order.
+  for (int i = 10; i < 40; ++i) {
+    if (i % 3 == 0) {
+      s.post(milliseconds(3), [&order, i] { order.push_back(i); });
+    } else {
+      s.at(milliseconds(3), [&order, i] { order.push_back(i); });
+    }
+  }
+  s.run();
+  std::vector<int> expected{1, 2, 4, 5, 6, 0, 3};
+  for (int i = 10; i < 40; ++i) expected.push_back(i);
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(s.executed_events(), 37u);
+  EXPECT_THROW(s.post(milliseconds(1), [] {}), util::invariant_error);
+}
+
+TEST(scheduler, captured_shared_ptr_is_released_exactly_once) {
+  // A callable holding a shared_ptr relocates through its move constructor
+  // (not memcpy); the count must balance whether the event fires, is
+  // cancelled, is still pending when the scheduler dies, or is relocated
+  // because the slab grew.
+  const auto token = std::make_shared<int>(0);
+  int fired = 0;
+  {
+    scheduler s;
+    s.post(milliseconds(1), [token, &fired] { fired += *token + 1; });
+    event_handle h = s.at(milliseconds(2), [token] {});
+    s.post(milliseconds(50), [token] {});  // never fires before destruction
+    EXPECT_EQ(token.use_count(), 4);
+    h.cancel();
+    EXPECT_EQ(token.use_count(), 3);
+    s.run_until(milliseconds(10));
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(token.use_count(), 2);
+    // Grow the slab well past its initial reservation; trivially copyable
+    // callables relocate by memcpy alongside the shared_ptr ones.
+    std::vector<int> seen;
+    for (int i = 0; i < 3000; ++i) {
+      if (i % 2 == 0) {
+        s.post(milliseconds(20) + i, [token, &seen, i] { seen.push_back(i); });
+      } else {
+        s.post(milliseconds(20) + i, [&seen, i] { seen.push_back(i); });
+      }
+    }
+    EXPECT_EQ(token.use_count(), 2 + 1500);
+    s.run_until(milliseconds(30));
+    ASSERT_EQ(seen.size(), 3000u);
+    for (int i = 0; i < 3000; ++i) {
+      EXPECT_EQ(seen[static_cast<std::size_t>(i)], i);
+    }
+    EXPECT_EQ(token.use_count(), 2);
+  }
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(scheduler, cascading_chain_terminates_at_horizon) {
@@ -436,6 +508,88 @@ TEST(event_train, fires_exactly_like_pre_scheduling) {
     EXPECT_EQ(train_world_fire_order(seed, true, &executed), reference)
         << "seed " << seed;
     EXPECT_EQ(executed, ref_executed) << "seed " << seed;
+  }
+}
+
+/// Batches shaped like a FLID sender's: a few ascending runs (one per
+/// group) on a coarse grid, so equal times within and across runs are
+/// common.
+struct run_batches {
+  crypto::prng rng;
+  std::uint64_t next_id = 0;
+
+  template <typename Add>
+  void issue(time_ns now, Add add) {
+    constexpr time_ns grid = 1000;
+    const auto runs = rng.uniform_int(1, 5);
+    for (std::int64_t r = 0; r < runs; ++r) {
+      time_ns when = now + grid * rng.uniform_int(0, 10);
+      const auto len = rng.uniform_int(1, 8);
+      for (std::int64_t k = 0; k < len; ++k) {
+        add(when, next_id++);
+        when += grid * rng.uniform_int(0, 2);
+      }
+    }
+  }
+  /// Two of three fired items launch another batch, while the train still
+  /// holds undrained items of earlier ones.
+  [[nodiscard]] bool relaunch(std::uint64_t id) const {
+    return next_id < 3000 && id % 3 != 0;
+  }
+};
+
+using fire_log = std::vector<std::pair<time_ns, std::uint64_t>>;
+
+fire_log train_fire_log(std::uint64_t seed) {
+  scheduler s;
+  run_batches src{crypto::prng(seed)};
+  fire_log log;
+  event_train<std::uint64_t>* train = nullptr;
+  const auto add = [&](time_ns when, std::uint64_t id) {
+    train->add(when, id);
+  };
+  event_train<std::uint64_t> t(s, [&](std::uint64_t& id) {
+    log.emplace_back(s.now(), id);
+    if (src.relaunch(id)) {
+      src.issue(s.now(), add);
+      train->launch();
+    }
+  });
+  train = &t;
+  src.issue(0, add);
+  t.launch();
+  s.run();
+  return log;
+}
+
+/// The same batches through a std::sort of everything pending at every
+/// launch: what event_train did before it merged runs.
+fire_log sorted_reference_fire_log(std::uint64_t seed) {
+  run_batches src{crypto::prng(seed)};
+  fire_log log;
+  std::vector<std::pair<time_ns, std::uint64_t>> pending;  // (when, add order)
+  const auto add = [&](time_ns when, std::uint64_t id) {
+    pending.emplace_back(when, id);
+  };
+  src.issue(0, add);
+  std::sort(pending.begin(), pending.end());
+  while (!pending.empty()) {
+    const auto [when, id] = pending.front();
+    pending.erase(pending.begin());
+    log.emplace_back(when, id);
+    if (src.relaunch(id)) {
+      src.issue(when, add);
+      std::sort(pending.begin(), pending.end());
+    }
+  }
+  return log;
+}
+
+TEST(event_train, merged_launch_fires_like_a_sorted_reference) {
+  for (std::uint64_t seed : {5ULL, 29ULL, 0xabcdULL, 0x5eedULL}) {
+    const fire_log reference = sorted_reference_fire_log(seed);
+    ASSERT_GT(reference.size(), 2500u) << "seed " << seed;
+    EXPECT_EQ(train_fire_log(seed), reference) << "seed " << seed;
   }
 }
 
