@@ -22,8 +22,7 @@ int main(int argc, char** argv) {
   exp::add_sweep_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
   const double duration = flags.f64("duration");
-  const auto base_seed = static_cast<std::uint64_t>(flags.i64("seed"));
-  const auto opts = exp::sweep_options_from_flags(flags, base_seed);
+  const auto opts = exp::sweep_options_from_flags(flags);
 
   // Grid: parity shard count m at fixed k = 4 (x = m).
   constexpr int k = 4;
@@ -35,7 +34,7 @@ int main(int argc, char** argv) {
         // Same seed for every FEC configuration: identical cross traffic, so
         // the decode rates are directly comparable (deliberately NOT the
         // per-point seed).
-        cfg.seed = base_seed;
+        cfg.seed = opts.base_seed;
         exp::testbed d(exp::dumbbell(cfg));
 
         // Hand-build the session so we control the emitter's FEC parameters.
@@ -93,6 +92,6 @@ int main(int argc, char** argv) {
                "# authorizations, which feeds back into its own traffic and\n"
                "# join churn — so the degraded points are lossy AND unstable,\n"
                "# not monotone in z.\n";
-  exp::maybe_write_json(flags, "ablation_fec_rate", rows);
+  exp::write_outputs(flags, opts, "ablation_fec_rate", rows);
   return 0;
 }

@@ -12,6 +12,7 @@
 
 #include "core/sigma_wire.h"
 #include "crypto/prng.h"
+#include "exp/grid.h"
 #include "exp/report.h"
 #include "exp/sweep.h"
 #include "util/flags.h"
@@ -26,25 +27,18 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 1;
 
   const auto trials = static_cast<int>(flags.i64("trials"));
-  const auto opts = exp::sweep_options_from_flags(
-      flags, static_cast<std::uint64_t>(flags.i64("seed")));
+  const auto opts = exp::sweep_options_from_flags(flags);
 
-  struct cell {
-    int bits;
-    int y;
-  };
-  std::vector<cell> cells;
-  std::vector<double> xs;
-  for (const int bits : {8, 12, 16}) {
-    for (const int y : {1, 16, 256}) {
-      cells.push_back(cell{bits, y});
-      xs.push_back(bits);  // display coordinate: key width
-    }
-  }
+  exp::grid g("_");
+  const auto key_bits = g.add(std::vector<int>{8, 12, 16},
+                              [](int b) { return "b" + std::to_string(b); });
+  const auto budget = g.add(std::vector<int>{1, 16, 256},
+                            [](int y) { return "y" + std::to_string(y); });
 
-  const auto rows = exp::run_sweep(
-      xs, opts, [&](const exp::sweep_point& pt) {
-        const auto [bits, y] = cells[pt.index];
+  const auto rows = exp::run_grid(
+      g, opts, [&](const exp::sweep_point& pt) {
+        const int bits = g.value(pt.index, key_bits);
+        const int y = g.value(pt.index, budget);
         crypto::prng rng(pt.seed);
         int hits = 0;
         for (int t = 0; t < trials; ++t) {
@@ -61,7 +55,7 @@ int main(int argc, char** argv) {
         }
         // Three valid keys per tuple: success per guess is ~3/2^b.
         exp::sweep_row row;
-        row.label = "b" + std::to_string(bits) + "_y" + std::to_string(y);
+        row.x = bits;  // display coordinate: key width
         row.value("bits", bits);
         row.value("guesses_per_slot", y);
         row.value("analytic",
@@ -80,6 +74,6 @@ int main(int argc, char** argv) {
   exp::print_check(std::cout, "16-bit keys, 256 guesses/slot",
                    "~1.2% success/slot (paper: y/2^b)",
                    100.0 * (1.0 - std::pow(1.0 - 3.0 / 65536.0, 256)), "%");
-  exp::maybe_write_json(flags, "ablation_key_guessing", rows);
+  exp::write_outputs(flags, opts, "ablation_key_guessing", rows);
   return 0;
 }

@@ -25,8 +25,7 @@ int main(int argc, char** argv) {
 
   const double duration = flags.f64("duration");
   const auto inflate_at = sim::seconds(flags.f64("inflate_at"));
-  const auto opts = exp::sweep_options_from_flags(
-      flags, static_cast<std::uint64_t>(flags.i64("seed")));
+  const auto opts = exp::sweep_options_from_flags(flags);
 
   const auto rows = exp::run_sweep(
       {250.0, 375.0, 500.0, 750.0, 1000.0}, opts,
@@ -78,6 +77,6 @@ int main(int argc, char** argv) {
   }
   std::cout << "# expectation: fairness stays high at every slot size; SIGMA\n"
                "# overhead shrinks as slots lengthen (fewer key rotations).\n";
-  exp::maybe_write_json(flags, "ablation_slot_duration", rows);
+  exp::write_outputs(flags, opts, "ablation_slot_duration", rows);
   return 0;
 }

@@ -84,6 +84,6 @@ int main(int argc, char** argv) {
   std::cout << "# threshold DELTA pays an order of magnitude more on small\n"
                "# sessions and grows with N on the base layer - the paper's\n"
                "# open problem, quantified.\n";
-  exp::maybe_write_json(flags, "ablation_threshold_overhead", rows);
+  exp::write_outputs(flags, opts, "ablation_threshold_overhead", rows);
   return 0;
 }

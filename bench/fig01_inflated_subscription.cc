@@ -28,11 +28,11 @@ int main(int argc, char** argv) {
   exp::add_sweep_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
 
+  exp::check_window_flags(flags, "inflate_at", "measurement");
   const double duration = flags.f64("duration");
   const double inflate_at_s = flags.f64("inflate_at");
   const int inflate_level = static_cast<int>(flags.i64("inflate_level"));
-  const auto opts = exp::sweep_options_from_flags(
-      flags, static_cast<std::uint64_t>(flags.i64("seed")));
+  const auto opts = exp::sweep_options_from_flags(flags);
 
   const auto rows = exp::run_sweep(
       {1.0}, opts, [&](const exp::sweep_point& pt) {
@@ -85,6 +85,6 @@ int main(int argc, char** argv) {
                    row.value_of("T1_after"), "Kbps");
   exp::print_check(std::cout, "T2 throughput after the attack", "~100 (crushed)",
                    row.value_of("T2_after"), "Kbps");
-  exp::maybe_write_json(flags, "fig01_inflated_subscription", rows);
+  exp::write_outputs(flags, opts, "fig01_inflated_subscription", rows);
   return 0;
 }

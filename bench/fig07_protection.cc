@@ -12,7 +12,6 @@
 #include "exp/report.h"
 #include "exp/sweep.h"
 #include "exp/testbed.h"
-#include "obs/trace.h"
 #include "sim/stats.h"
 #include "util/flags.h"
 
@@ -29,6 +28,7 @@ int main(int argc, char** argv) {
   exp::add_sweep_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
 
+  exp::check_window_flags(flags, "inflate_at", "measurement");
   const double duration = flags.f64("duration");
   const double inflate_at_s = flags.f64("inflate_at");
   const adversary::key_mode keys =
@@ -44,19 +44,9 @@ int main(int argc, char** argv) {
     return 1;
   }
   const bool keying = keying_axis.front();
-  const auto opts = exp::sweep_options_from_flags(
-      flags, static_cast<std::uint64_t>(flags.i64("seed")));
-  const bool tracing = exp::trace_requested(flags);
-  const bool profiling = exp::profile_requested(flags);
-
-  exp::sweep_profile prof;
+  const auto opts = exp::sweep_options_from_flags(flags);
   const auto rows = exp::run_sweep(
-      {1.0}, opts,
-      [&](const exp::sweep_point& pt) {
-        // Install the point's trace sink before the world is built: engine
-        // components latch the sink at construction.
-        obs::trace_buffer tb;
-        obs::trace_scope scope(tracing ? &tb : nullptr);
+      {1.0}, opts, [&](const exp::sweep_point& pt) {
         exp::dumbbell_config cfg;
         cfg.bottleneck_bps = 1e6;
         cfg.seed = pt.seed;
@@ -94,10 +84,8 @@ int main(int argc, char** argv) {
         row.value("invalid_keys",
                   static_cast<double>(d.sigma().stats().invalid_keys));
         row.metrics = d.metrics().snapshot();
-        if (tracing) row.trace_blob = tb.serialize();
         return row;
-      },
-      profiling ? &prof : nullptr);
+      });
   const exp::sweep_row& row = rows.front();
 
   exp::print_series(std::cout, "Fig 7: F1 (misbehaving FLID-DS) Kbps vs s",
@@ -118,8 +106,6 @@ int main(int argc, char** argv) {
                    "high (allocation preserved)", row.value_of("fairness"), "");
   exp::print_check(std::cout, "invalid keys rejected by SIGMA", "> 0",
                    row.value_of("invalid_keys"), "");
-  exp::maybe_write_json(flags, "fig07_protection", rows,
-                        profiling ? &prof : nullptr);
-  exp::maybe_write_trace(flags, rows);
+  exp::write_outputs(flags, opts, "fig07_protection", rows);
   return 0;
 }

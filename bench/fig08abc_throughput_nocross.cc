@@ -35,10 +35,8 @@ run_result run(exp::flid_mode mode, int sessions, double duration_s,
   cfg.bottleneck_bps = 250e3 * sessions;
   cfg.seed = seed;
   exp::testbed d(exp::dumbbell(cfg));
-  std::vector<exp::flid_session*> handles;
-  for (int i = 0; i < sessions; ++i) {
-    handles.push_back(&d.add_flid_session(mode, {exp::receiver_options{}}));
-  }
+  const std::vector<exp::flid_session*> handles =
+      d.add_session_array(sessions, mode, {exp::receiver_options{}});
   const sim::time_ns horizon = sim::seconds(duration_s);
   d.run_until(horizon);
 
@@ -78,8 +76,7 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 1;
 
   const double duration = flags.f64("duration");
-  const auto opts = exp::sweep_options_from_flags(
-      flags, static_cast<std::uint64_t>(flags.i64("seed")));
+  const auto opts = exp::sweep_options_from_flags(flags);
   std::vector<double> counts;
   for (int n = 1; n <= flags.i64("max_sessions");
        n += (n == 1 ? 1 : 2)) {  // 1, 2, 4, 6, ..., like the paper's x axis
@@ -125,6 +122,6 @@ int main(int argc, char** argv) {
   }
   exp::print_check(std::cout, "max relative DL-vs-DS average gap",
                    "small (curves overlap)", worst_gap, "fraction");
-  exp::maybe_write_json(flags, "fig08abc_throughput_nocross", rows);
+  exp::write_outputs(flags, opts, "fig08abc_throughput_nocross", rows);
   return 0;
 }

@@ -39,10 +39,8 @@ run_result run(exp::flid_mode mode, int sessions, double duration_s,
   cfg.seed = seed;
   cfg.aqm = aqm;
   exp::testbed d(exp::dumbbell(cfg));
-  std::vector<exp::flid_session*> handles;
-  for (int i = 0; i < sessions; ++i) {
-    handles.push_back(&d.add_flid_session(mode, {exp::receiver_options{}}));
-  }
+  const std::vector<exp::flid_session*> handles =
+      d.add_session_array(sessions, mode, {exp::receiver_options{}});
   for (int i = 0; i < sessions; ++i) d.add_tcp_flow();
   traffic::cbr_config cbr;
   cbr.rate_bps = 0.1 * cfg.bottleneck_bps;
@@ -87,8 +85,7 @@ int main(int argc, char** argv) {
 
   const double duration = flags.f64("duration");
   const int repeats = static_cast<int>(flags.i64("repeats"));
-  const auto opts = exp::sweep_options_from_flags(
-      flags, static_cast<std::uint64_t>(flags.i64("seed")));
+  const auto opts = exp::sweep_options_from_flags(flags);
   const sim::aqm_config base_aqm = exp::aqm_config_from_flags(flags);
   const std::vector<sim::qdisc> qdiscs = exp::qdisc_list_from_flags(flags);
   std::vector<double> counts;
@@ -156,6 +153,6 @@ int main(int argc, char** argv) {
   }
   exp::print_check(std::cout, "max relative DL-vs-DS average gap",
                    "small (curves overlap)", worst_gap, "fraction");
-  exp::maybe_write_json(flags, "fig08d_average_with_cross", rows);
+  exp::write_outputs(flags, opts, "fig08d_average_with_cross", rows);
   return 0;
 }

@@ -55,8 +55,7 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 1;
 
   const double duration = flags.f64("duration");
-  const auto opts = exp::sweep_options_from_flags(
-      flags, static_cast<std::uint64_t>(flags.i64("seed")));
+  const auto opts = exp::sweep_options_from_flags(flags);
 
   // Grid: one point per protocol mode (x = 0 DL, x = 1 DS).
   const auto rows = exp::run_sweep(
@@ -86,6 +85,6 @@ int main(int argc, char** argv) {
     exp::print_check(std::cout, row.label + " after burst", "recovers",
                      row.value_of("after"), "Kbps");
   }
-  exp::maybe_write_json(flags, "fig08e_responsiveness", rows);
+  exp::write_outputs(flags, opts, "fig08e_responsiveness", rows);
   return 0;
 }

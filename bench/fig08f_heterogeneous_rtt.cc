@@ -59,8 +59,7 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 1;
 
   const double duration = flags.f64("duration");
-  const auto opts = exp::sweep_options_from_flags(
-      flags, static_cast<std::uint64_t>(flags.i64("seed")));
+  const auto opts = exp::sweep_options_from_flags(flags);
 
   // Grid: one point per protocol mode (x = 0 DL, x = 1 DS).
   const auto rows = exp::run_sweep(
@@ -98,6 +97,6 @@ int main(int argc, char** argv) {
     exp::print_check(std::cout, row.label + " mean across receivers",
                      "~200-250", row.value_of("mean"), "Kbps");
   }
-  exp::maybe_write_json(flags, "fig08f_heterogeneous_rtt", rows);
+  exp::write_outputs(flags, opts, "fig08f_heterogeneous_rtt", rows);
   return 0;
 }

@@ -22,8 +22,7 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 1;
 
   const double duration = flags.f64("duration");
-  const auto opts = exp::sweep_options_from_flags(
-      flags, static_cast<std::uint64_t>(flags.i64("seed")));
+  const auto opts = exp::sweep_options_from_flags(flags);
 
   // Grid: one point per panel (x = 0: FLID-DL panel g, x = 1: FLID-DS panel h).
   const auto rows = exp::run_sweep(
@@ -75,6 +74,6 @@ int main(int argc, char** argv) {
                      "yes (converged)", row.value_of("converged"), "(1 = yes)");
     std::cout << "\n";
   }
-  exp::maybe_write_json(flags, "fig08gh_convergence", rows);
+  exp::write_outputs(flags, opts, "fig08gh_convergence", rows);
   return 0;
 }

@@ -102,8 +102,7 @@ int main(int argc, char** argv) {
   exp::add_sweep_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
   const double duration = flags.f64("duration");
-  const auto opts = exp::sweep_options_from_flags(
-      flags, static_cast<std::uint64_t>(flags.i64("seed")));
+  const auto opts = exp::sweep_options_from_flags(flags);
 
   // One combined grid: panel (a) sweeps N at t = 250 ms, panel (b) sweeps
   // the slot duration at N = 10.
@@ -161,6 +160,6 @@ int main(int argc, char** argv) {
                    "about 0.8%", 100 * worst_delta, "% (max)");
   exp::print_check(std::cout, "SIGMA overhead across both sweeps",
                    "under 0.6%", 100 * worst_sigma, "% (max)");
-  exp::maybe_write_json(flags, "fig09_overhead", rows);
+  exp::write_outputs(flags, opts, "fig09_overhead", rows);
   return 0;
 }

@@ -42,6 +42,7 @@
 
 #include "adversary/adversary.h"
 #include "adversary/containment.h"
+#include "exp/grid.h"
 #include "exp/report.h"
 #include "exp/sweep.h"
 #include "exp/testbed.h"
@@ -59,20 +60,6 @@ struct site_plan {
   std::string honest;    // honest receiver's edge
   std::string attacker;  // attacker's edge
   std::string second;    // second colluder's edge (collusion only)
-};
-
-struct cell {
-  adversary::strategy_kind strategy;
-  std::string topo;
-  sim::qdisc queue;
-  bool keying = false;  // interface-keying countermeasure on
-  int memory = 0;       // probation-memory window, slots (0 = off)
-  bool cm = false;      // shared congestion manager on
-  // Seed index counting only the cm-off grid: a "/cm" cell simulates the
-  // SAME world as its plain twin (the pair comparison isolates the
-  // manager), and plain cells keep the exact seeds they had before the cm
-  // axis existed, so the rolling bench baseline keeps matching.
-  std::size_t seed_index = 0;
 };
 
 /// Where each party sits: the honest receiver and the attacker share the
@@ -105,9 +92,7 @@ int main(int argc, char** argv) {
   flags.add_enum("topos", "all", "topologies to sweep",
                  {"dumbbell", "parking_lot", "tree", "all"},
                  /*csv_list=*/true);
-  flags.add_enum("mode", "ds",
-                 "protocol world: ds (SIGMA-protected) or dl (plain)",
-                 {"ds", "dl"});
+  exp::add_mode_flag(flags);
   flags.add_enum("attack-keys", "guess",
                  "key mode for the key-backed strategies except collusion",
                  {"best_effort", "replay", "guess"});
@@ -126,18 +111,8 @@ int main(int argc, char** argv) {
   exp::add_sweep_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
 
-  const double duration = flags.f64("duration");
-  const double attack_at_s = flags.f64("attack-at");
-  if (duration <= attack_at_s + 10.0) {
-    std::fprintf(stderr,
-                 "bad value for --duration/--attack-at: %g/%g (need duration "
-                 "> attack-at + 10 s so the containment window is non-empty)\n",
-                 duration, attack_at_s);
-    return 1;
-  }
-  const std::string mode_name = flags.str("mode");
-  const exp::flid_mode mode =
-      mode_name == "ds" ? exp::flid_mode::ds : exp::flid_mode::dl;
+  exp::check_window_flags(flags, "attack-at", "containment");
+  const exp::flid_mode mode = exp::mode_from_flags(flags);
   const adversary::key_mode keys =
       adversary::key_mode_from_name(flags.str("attack-keys")).value();
   const sim::time_ns pulse_on = sim::seconds(flags.f64("pulse-on"));
@@ -154,98 +129,57 @@ int main(int argc, char** argv) {
   }
   const int flap_period = static_cast<int>(flags.i64("flap-period"));
 
-  std::vector<adversary::strategy_kind> strategies;
-  if (flags.str("strategies") == "all") {
-    strategies = adversary::all_attacks();
-  } else {
-    for (const std::string& name : util::split_csv(flags.str("strategies"))) {
-      strategies.push_back(adversary::strategy_from_name(name).value());
-    }
-  }
-  const std::vector<std::string> topos =
-      flags.str("topos") == "all"
-          ? std::vector<std::string>{"dumbbell", "parking_lot", "tree"}
-          : util::split_csv(flags.str("topos"));
-  const std::vector<sim::qdisc> qdiscs = exp::qdisc_list_from_flags(flags);
   const sim::aqm_config aqm_base = exp::aqm_config_from_flags(flags);
-  std::vector<bool> keyings = exp::interface_keying_axis_from_flags(flags);
-  if (mode == exp::flid_mode::dl && (keyings.size() > 1 || keyings.front())) {
-    // Keys do not exist in the plain world; the axis would duplicate cells.
-    std::fprintf(stderr,
-                 "note: --interface-keying has no effect under --mode=dl; "
-                 "running the axis off\n");
-    keyings = {false};
-  }
-  std::vector<int> memories = exp::probation_memory_axis_from_flags(flags);
-  if (mode == exp::flid_mode::dl &&
-      (memories.size() > 1 || memories.front() != 0)) {
-    // No SIGMA router in the plain world; the axis would duplicate cells.
-    std::fprintf(stderr,
-                 "note: --probation-memory has no effect under --mode=dl; "
-                 "running the axis off\n");
-    memories = {0};
-  }
-  const std::vector<bool> cms = exp::cm_axis_from_flags(flags);
+  exp::grid g;
+  const auto strategy = g.add(flags.list("strategies"));
+  const auto topo = g.add(flags.list("topos"));
+  const auto queue = g.add(exp::qdisc_list_from_flags(flags), sim::qdisc_name);
+  const auto keying = g.toggle(
+      exp::off_under_dl(mode, "interface-keying",
+                        exp::interface_keying_axis_from_flags(flags)),
+      "keyed");
+  const auto memory = g.toggle(
+      exp::off_under_dl(mode, "probation-memory",
+                        exp::probation_memory_axis_from_flags(flags)),
+      "mem");
+  // A "/cm" cell simulates the SAME world as its plain twin (the pair
+  // comparison isolates the manager), and plain cells keep the exact seeds
+  // they had before the cm axis existed, so the rolling bench baseline keeps
+  // matching.
+  const auto cm = g.toggle(exp::cm_axis_from_flags(flags), "cm",
+                           /*twin=*/true);
   const cm::cm_config cm_params = exp::cm_config_from_flags(flags);
+  const auto opts = exp::sweep_options_from_flags(flags);
 
-  std::vector<cell> cells;
-  std::size_t seed_index = 0;
-  for (const adversary::strategy_kind s : strategies) {
-    for (const std::string& t : topos) {
-      for (const sim::qdisc q : qdiscs) {
-        for (const bool k : keyings) {
-          for (const int m : memories) {
-            // All cm variants of a grid point share one seed_index, and the
-            // index advances only per cm-OFF point: "/cm" rows simulate
-            // their twin's exact world, plain rows keep their historical
-            // seeds no matter what --cm says.
-            for (const bool c : cms) {
-              cells.push_back({s, t, q, k, m, c, seed_index});
-            }
-            ++seed_index;
-          }
-        }
-      }
-    }
-  }
+  const sim::time_ns attack_at = sim::seconds(flags.f64("attack-at"));
+  const sim::time_ns horizon = sim::seconds(flags.f64("duration"));
 
-  std::vector<double> xs(cells.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) xs[i] = static_cast<double>(i);
-  const auto opts = exp::sweep_options_from_flags(
-      flags, static_cast<std::uint64_t>(flags.i64("seed")));
-
-  const sim::time_ns attack_at = sim::seconds(attack_at_s);
-  const sim::time_ns horizon = sim::seconds(duration);
-
-  const auto rows = exp::run_sweep(xs, opts, [&](const exp::sweep_point& pt) {
-    const cell& c = cells[pt.index];
-    const site_plan sites = sites_for(c.topo);
+  const auto rows = exp::run_grid(g, opts, [&](const exp::sweep_point& pt) {
+    const std::size_t i = pt.index;
+    const adversary::strategy_kind kind =
+        adversary::strategy_from_name(g.value(i, strategy)).value();
+    const site_plan sites = sites_for(g.value(i, topo));
     sim::aqm_config aqm = aqm_base;
-    aqm.discipline = c.queue;
+    aqm.discipline = g.value(i, queue);
     exp::world_options world;
-    world.seed = exp::point_seed(opts.base_seed, c.seed_index);
-    world.interface_keying = c.keying;
-    world.probation_memory_slots = c.memory;
-    world.cm = c.cm;
+    world.seed = pt.seed;
+    world.interface_keying = g.value(i, keying);
+    world.probation_memory_slots = g.value(i, memory);
+    world.cm = g.value(i, cm);
     world.cm_params = cm_params;
-    exp::testbed d(exp::named_scenario(c.topo, path_bps, aqm, world));
+    exp::testbed d(
+        exp::named_scenario(g.value(i, topo), path_bps, aqm, world));
     const adversary::profile attack = adversary::make_profile(
-        c.strategy, attack_at, keys, pulse_on, pulse_off, flap_period);
+        kind, attack_at, keys, pulse_on, pulse_off, flap_period);
 
     // Two sessions share the path, mirroring Figure 7 and the containment
     // matrix test: the rogue session carries the attacker(s), the honest
     // session a well-behaved receiver, and TCP is the unicast victim.
-    exp::receiver_options attacker;
-    attacker.at = sites.attacker;
-    attacker.attack = attack;
-    std::vector<exp::receiver_options> rogues = {attacker};
-    const bool colluding = c.strategy == adversary::strategy_kind::collusion;
-    if (colluding) {
-      exp::receiver_options partner;
-      partner.at = sites.second;
-      partner.attack = attack;
-      rogues.push_back(partner);
-    }
+    const bool colluding = kind == adversary::strategy_kind::collusion;
+    std::vector<exp::receiver_options> rogues(colluding ? 2 : 1);
+    rogues[0].at = sites.attacker;
+    if (colluding) rogues[1].at = sites.second;
+    for (exp::receiver_options& r : rogues) r.attack = attack;
     auto& rogue = d.add_flid_session(mode, rogues);
     exp::receiver_options honest;
     honest.at = sites.honest;
@@ -269,41 +203,25 @@ int main(int argc, char** argv) {
         &honest_session.receiver(0).monitor()};
 
     exp::sweep_row row;
-    // Keyed cells carry a "/keyed" suffix and probation-memory cells a
-    // "/mem" suffix; plain labels stay as before so cross-commit baseline
-    // diffs keep matching the historical rows.
-    row.label = std::string(adversary::strategy_name(c.strategy)) + "/" +
-                c.topo + "/" + sim::qdisc_name(c.queue) +
-                (c.keying ? "/keyed" : "") + (c.memory > 0 ? "/mem" : "") +
-                (c.cm ? "/cm" : "");
     double attacker_sum = 0.0;
     double honest_sum = 0.0;
     for (const sim::throughput_monitor* m : honest_monitors) {
       honest_sum += m->average_kbps(attack_at + ccfg.settle, horizon);
     }
-    double damage = 0.0;
-    double ttc = 0.0;
-    double profit = 0.0;
-    double profit_kb = 0.0;
-    bool contained = true;
+    adversary::containment_report verdict;
     const int attackers = colluding ? 2 : 1;
     for (int a = 0; a < attackers; ++a) {
       adversary::containment_report rep = adversary::measure_containment(
           rogue.receiver(a).monitor(), honest_monitors, reference, ccfg);
       adversary::attach_cost(rep, adversary::measure_cost(rogue.receiver(a)));
       attacker_sum += rep.attacker_kbps;
-      damage = rep.honest_damage;  // same honest set for every attacker
       // The cell verdict judges the attacker on the contested path
       // (receiver 0). A colluding partner may sit on an uncontested branch
       // by design — its clean congestion state is what feeds the key pool —
       // so its own high rate is entitlement, not escape; it is still
-      // reported as attacker1_*.
-      if (a == 0) {
-        contained = rep.contained;
-        ttc = rep.time_to_containment_s;
-        profit = rep.profit_kbps_per_msg;
-        profit_kb = rep.profit_kbps_per_kb;
-      }
+      // reported as attacker1_*. Damage is the same for every attacker: it
+      // is measured on the honest set alone.
+      if (a == 0) verdict = rep;
       const std::string p = "attacker" + std::to_string(a) + "_";
       row.value(p + "kbps", rep.attacker_kbps);
       row.value(p + "share", rep.attacker_share);
@@ -322,12 +240,12 @@ int main(int argc, char** argv) {
               attacker_sum + honest_sum > 0.0
                   ? attacker_sum / (attacker_sum + honest_sum)
                   : 0.0);
-    row.value("honest_damage", damage);
-    row.value("ttc_s", contained ? ttc : -1.0);
-    row.value("contained", contained ? 1.0 : 0.0);
-    row.value("interface_keying", c.keying ? 1.0 : 0.0);
-    row.value("probation_memory", static_cast<double>(c.memory));
-    row.value("cm", c.cm ? 1.0 : 0.0);
+    row.value("honest_damage", verdict.honest_damage);
+    row.value("ttc_s", verdict.contained ? verdict.time_to_containment_s : -1.0);
+    row.value("contained", verdict.contained ? 1.0 : 0.0);
+    row.value("interface_keying", g.value(i, keying) ? 1.0 : 0.0);
+    row.value("probation_memory", static_cast<double>(g.value(i, memory)));
+    row.value("cm", g.value(i, cm) ? 1.0 : 0.0);
     // Zero bindings across every receiver in the cell ⇒ the manager never
     // changed an auth mask ⇒ the whole run is byte-identical to the plain
     // twin. That is the predicate the cm compatibility pin below keys on.
@@ -343,8 +261,8 @@ int main(int argc, char** argv) {
         attack_at + std::min(sim::seconds(20.0), (horizon - attack_at) / 2);
     row.value("attacker_late_kbps",
               rogue.receiver(0).monitor().average_kbps(late_from, horizon));
-    row.value("profit_kbps_per_msg", profit);
-    row.value("profit_kbps_per_kb", profit_kb);
+    row.value("profit_kbps_per_msg", verdict.profit_kbps_per_msg);
+    row.value("profit_kbps_per_kb", verdict.profit_kbps_per_kb);
     row.value("honest_kbps",
               honest_session.receiver(0).monitor().average_kbps(
                   attack_at + ccfg.settle, horizon));
@@ -383,7 +301,7 @@ int main(int argc, char** argv) {
   });
 
   std::printf("# attack matrix (%s): strategy/topology/qdisc[/keyed]\n",
-              mode_name.c_str());
+              flags.str("mode").c_str());
   std::printf("# %-44s %9s %9s %8s %9s %11s\n", "cell", "atk_share", "damage",
               "ttc_s", "contained", "profit");
   for (const auto& row : rows) {
@@ -427,9 +345,8 @@ int main(int argc, char** argv) {
     for (const auto& row : rows) {
       if (row.value_of("contained") > 0.5) ++held;
     }
-    exp::print_check(std::cout, "cells contained under SIGMA",
-                     "all of them", static_cast<double>(held),
-                     "of " + std::to_string(rows.size()));
+    exp::print_count_check(std::cout, "cells contained under SIGMA",
+                           "all of them", held, static_cast<int>(rows.size()));
     // The countermeasure study: for every collusion cell run both with and
     // without keying, the keyed run must close the key-sharing channel (no
     // pool hits — checked for every placement, same-edge included). The
@@ -438,78 +355,56 @@ int main(int argc, char** argv) {
     // contested link exactly as in section 4.2: there, keying must rein the
     // contested colluder in strictly faster. (On other topologies the
     // claw-back is congestion-dominated and the comparison is seed-noisy.)
-    if (keyings.size() > 1) {
-      int pairs = 0;
-      int closed = 0;
-      int tree_cells = 0;
-      int faster = 0;
-      for (const auto& row : rows) {
-        if (row.label.rfind("collusion/", 0) != 0) continue;
-        if (row.value_of("interface_keying") != 0.0) continue;
-        const exp::sweep_row* keyed = nullptr;
-        for (const auto& other : rows) {
-          if (other.label == row.label + "/keyed") keyed = &other;
-        }
-        if (keyed == nullptr) continue;
-        ++pairs;
-        if (keyed->value_of("pool_hits") == 0.0) ++closed;
-        if (row.label.rfind("collusion/tree/", 0) != 0) continue;
-        ++tree_cells;
-        const double ttc_off = row.value_of("ttc_s");
-        const double ttc_on = keyed->value_of("ttc_s");
-        // -1 (uncontained) is worse than any contained time.
-        if (ttc_on >= 0.0 && (ttc_off < 0.0 || ttc_on < ttc_off)) ++faster;
+    // Each pair's unkeyed cell has memory and cm off too.
+    int pairs = 0;
+    int closed = 0;
+    int tree_cells = 0;
+    int faster = 0;
+    for (const auto& [off, on] : g.pairs(keying)) {
+      if (g.value(off, strategy) != "collusion" ||
+          g.value(off, memory) != 0 || g.value(off, cm)) {
+        continue;
       }
-      // A claim only prints when its cells actually ran: "0 of 0" reads as
-      // the study passing when nothing was checked.
-      if (pairs > 0) {
-        exp::print_check(std::cout,
-                         "keyed collusion cells with pool_hits == 0",
-                         "all of them", static_cast<double>(closed),
-                         "of " + std::to_string(pairs));
-      }
-      if (tree_cells > 0) {
-        exp::print_check(std::cout,
-                         "keyed collusion/tree contained strictly faster",
-                         "all of them", static_cast<double>(faster),
-                         "of " + std::to_string(tree_cells));
-      }
+      ++pairs;
+      if (rows[on].value_of("pool_hits") == 0.0) ++closed;
+      if (g.value(off, topo) != "tree") continue;
+      ++tree_cells;
+      const double ttc_off = rows[off].value_of("ttc_s");
+      const double ttc_on = rows[on].value_of("ttc_s");
+      // -1 (uncontained) is worse than any contained time.
+      if (ttc_on >= 0.0 && (ttc_off < 0.0 || ttc_on < ttc_off)) ++faster;
     }
+    exp::print_count_check(std::cout,
+                           "keyed collusion cells with pool_hits == 0",
+                           "all of them", closed, pairs);
+    exp::print_count_check(std::cout,
+                           "keyed collusion/tree contained strictly faster",
+                           "all of them", faster, tree_cells);
     // The churn-countermeasure study: for every adaptive_churn cell run both
     // with and without probation memory, the memory run must show the grace
     // free-ride collapsing — no sustained keyless throughput once the first
     // window's debt is remembered — and the strategy dropping down the
-    // profitability ranking.
-    if (memories.size() > 1) {
-      int churn_pairs = 0;
-      int collapsed = 0;
-      int less_profitable = 0;
-      for (const auto& row : rows) {
-        if (row.label.rfind("adaptive_churn/", 0) != 0) continue;
-        if (row.value_of("probation_memory") != 0.0) continue;
-        const exp::sweep_row* mem = nullptr;
-        for (const auto& other : rows) {
-          if (other.label == row.label + "/mem") mem = &other;
-        }
-        if (mem == nullptr) continue;
-        ++churn_pairs;
-        if (mem->value_of("attacker_late_kbps") < 10.0) ++collapsed;
-        if (mem->value_of("profit_kbps_per_kb") <
-            row.value_of("profit_kbps_per_kb")) {
-          ++less_profitable;
-        }
+    // profitability ranking. Each pair's memory-off cell has cm off too.
+    int churn_pairs = 0;
+    int collapsed = 0;
+    int less_profitable = 0;
+    for (const auto& [off, on] : g.pairs(memory)) {
+      if (g.value(off, strategy) != "adaptive_churn" || g.value(off, cm)) {
+        continue;
       }
-      if (churn_pairs > 0) {
-        exp::print_check(std::cout,
-                         "churn cells under memory: late grace Kbps < 10",
-                         "all of them", static_cast<double>(collapsed),
-                         "of " + std::to_string(churn_pairs));
-        exp::print_check(std::cout,
-                         "churn cells strictly less profitable under memory",
-                         "all of them", static_cast<double>(less_profitable),
-                         "of " + std::to_string(churn_pairs));
+      ++churn_pairs;
+      if (rows[on].value_of("attacker_late_kbps") < 10.0) ++collapsed;
+      if (rows[on].value_of("profit_kbps_per_kb") <
+          rows[off].value_of("profit_kbps_per_kb")) {
+        ++less_profitable;
       }
     }
+    exp::print_count_check(std::cout,
+                           "churn cells under memory: late grace Kbps < 10",
+                           "all of them", collapsed, churn_pairs);
+    exp::print_count_check(
+        std::cout, "churn cells strictly less profitable under memory",
+        "all of them", less_profitable, churn_pairs);
     // The shared-manager compatibility pin: every "/cm" cell simulates its
     // plain twin's exact world (same seed by construction). Wherever the
     // manager stayed inert — zero cap bindings, which structurally covers
@@ -518,36 +413,28 @@ int main(int argc, char** argv) {
     // twin, so turning cm on must not move time-to-containment at all.
     // Dumbbell cells where the cap actually bound are a different experiment
     // (fig_session_farm's) and are reported, not claimed.
-    if (cms.size() > 1) {
-      int inert_pairs = 0;
-      int unchanged = 0;
-      int bound_pairs = 0;
-      for (const auto& row : rows) {
-        if (row.value_of("cm") != 0.0) continue;
-        const exp::sweep_row* cm_row = nullptr;
-        for (const auto& other : rows) {
-          if (other.label == row.label + "/cm") cm_row = &other;
-        }
-        if (cm_row == nullptr) continue;
-        if (cm_row->value_of("cm_bindings") > 0.0) {
-          ++bound_pairs;
-          continue;
-        }
-        ++inert_pairs;
-        if (cm_row->value_of("ttc_s") == row.value_of("ttc_s")) ++unchanged;
+    int inert_pairs = 0;
+    int unchanged = 0;
+    int bound_pairs = 0;
+    for (const auto& [off, on] : g.pairs(cm)) {
+      if (rows[on].value_of("cm_bindings") > 0.0) {
+        ++bound_pairs;
+        continue;
       }
-      if (inert_pairs > 0) {
-        exp::print_check(
-            std::cout,
-            "cm-inert cells (zero cap bindings) with ttc unchanged",
-            "all of them", static_cast<double>(unchanged),
-            "of " + std::to_string(inert_pairs));
-        std::printf("  (cells where the shared cap bound: %d — see "
-                    "fig_session_farm for that study)\n",
-                    bound_pairs);
+      ++inert_pairs;
+      if (rows[on].value_of("ttc_s") == rows[off].value_of("ttc_s")) {
+        ++unchanged;
       }
     }
+    exp::print_count_check(
+        std::cout, "cm-inert cells (zero cap bindings) with ttc unchanged",
+        "all of them", unchanged, inert_pairs);
+    if (inert_pairs > 0) {
+      std::printf("  (cells where the shared cap bound: %d — see "
+                  "fig_session_farm for that study)\n",
+                  bound_pairs);
+    }
   }
-  exp::maybe_write_json(flags, "fig_attack_matrix", rows);
+  exp::write_outputs(flags, opts, "fig_attack_matrix", rows);
   return 0;
 }

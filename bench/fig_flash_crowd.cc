@@ -38,15 +38,16 @@
 #include <algorithm>
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "adversary/adversary.h"
 #include "adversary/containment.h"
+#include "exp/grid.h"
 #include "exp/report.h"
 #include "exp/sweep.h"
 #include "exp/testbed.h"
-#include "obs/trace.h"
 #include "util/flags.h"
 
 using namespace mcc;
@@ -60,14 +61,6 @@ constexpr double path_bps = 1e6;
 struct site_plan {
   std::string population;  // edge the aggregate sits behind
   std::string attacker;    // edge the hidden adversary attaches to
-};
-
-struct cell {
-  std::int64_t members = 0;
-  std::string topo;
-  sim::qdisc queue;
-  std::string attack;  // "none" or an adversary strategy name
-  int memory = 0;      // probation-memory window, slots (0 = off)
 };
 
 /// The population and its hidden adversary share the contested path: both
@@ -101,9 +94,7 @@ int main(int argc, char** argv) {
   flags.add_enum("topos", "dumbbell,tree", "topologies to sweep",
                  {"dumbbell", "parking_lot", "star", "tree", "all"},
                  /*csv_list=*/true);
-  flags.add_enum("mode", "ds",
-                 "protocol world: ds (SIGMA-protected) or dl (plain)",
-                 {"ds", "dl"});
+  exp::add_mode_flag(flags);
   flags.add_enum("attack-keys", "guess",
                  "key mode for inflate_once/pulse_inflate",
                  {"best_effort", "replay", "guess"});
@@ -114,116 +105,74 @@ int main(int argc, char** argv) {
   exp::add_sweep_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
 
+  exp::check_window_flags(flags, "attack-at", "containment");
   const double duration = flags.f64("duration");
   const double attack_at_s = flags.f64("attack-at");
   const double flash_at_s = flags.f64("flash-at");
-  const double flash_frac = flags.f64("flash-frac");
-  if (duration <= attack_at_s + 10.0) {
-    std::fprintf(stderr,
-                 "bad value for --duration/--attack-at: %g/%g (need duration "
-                 "> attack-at + 10 s so the containment window is non-empty)\n",
-                 duration, attack_at_s);
-    return 1;
-  }
   if (flash_at_s < 0.0 || flash_at_s >= duration) {
     std::fprintf(stderr,
                  "bad value for --flash-at: %g (expected within [0, duration))\n",
                  flash_at_s);
     return 1;
   }
-  if (flash_frac < 0.0) {
-    std::fprintf(stderr,
-                 "bad value for --flash-frac: %g (expected >= 0)\n",
-                 flash_frac);
-    return 1;
-  }
-  const std::string mode_name = flags.str("mode");
-  const exp::flid_mode mode =
-      mode_name == "ds" ? exp::flid_mode::ds : exp::flid_mode::dl;
+  const double flash_frac = exp::f64_in(
+      flags, "flash-frac", 0.0, std::numeric_limits<double>::max(), ">= 0");
+  const exp::flid_mode mode = exp::mode_from_flags(flags);
   const adversary::key_mode keys =
       adversary::key_mode_from_name(flags.str("attack-keys")).value();
-  const std::vector<std::string> attacks =
-      util::split_csv(flags.str("attacks"));
-  const std::vector<std::string> topos =
-      flags.str("topos") == "all"
-          ? std::vector<std::string>{"dumbbell", "parking_lot", "star", "tree"}
-          : util::split_csv(flags.str("topos"));
-  const std::vector<sim::qdisc> qdiscs = exp::qdisc_list_from_flags(flags);
   const sim::aqm_config aqm_base = exp::aqm_config_from_flags(flags);
-  const std::vector<std::int64_t> populations =
-      exp::population_axis_from_flags(flags);
+  exp::grid g;
+  const auto members =
+      g.add(exp::population_axis_from_flags(flags),
+            [](std::int64_t n) { return "pop" + std::to_string(n); });
+  const auto topo = g.add(flags.list("topos"));
+  const auto queue = g.add(exp::qdisc_list_from_flags(flags), sim::qdisc_name);
   const population::population_config pop_base =
       exp::population_config_from_flags(flags);
-  std::vector<int> memories = exp::probation_memory_axis_from_flags(flags);
-  if (mode == exp::flid_mode::dl &&
-      (memories.size() > 1 || memories.front() != 0)) {
-    // No SIGMA router in the plain world; the axis would duplicate cells.
-    std::fprintf(stderr,
-                 "note: --probation-memory has no effect under --mode=dl; "
-                 "running the axis off\n");
-    memories = {0};
-  }
-
-  std::vector<cell> cells;
-  for (const std::int64_t n : populations) {
-    for (const std::string& t : topos) {
-      for (const sim::qdisc q : qdiscs) {
-        for (const std::string& a : attacks) {
-          for (const int m : memories) cells.push_back({n, t, q, a, m});
-        }
-      }
-    }
-  }
-
-  std::vector<double> xs(cells.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) xs[i] = static_cast<double>(i);
-  const auto opts = exp::sweep_options_from_flags(
-      flags, static_cast<std::uint64_t>(flags.i64("seed")));
+  const auto attack = g.add(flags.list("attacks"));
+  const auto memory = g.toggle(
+      exp::off_under_dl(mode, "probation-memory",
+                        exp::probation_memory_axis_from_flags(flags)),
+      "mem");
+  g.label_order({topo, queue, members, attack, memory});
+  const auto opts = exp::sweep_options_from_flags(flags);
 
   const sim::time_ns attack_at = sim::seconds(attack_at_s);
   const sim::time_ns horizon = sim::seconds(duration);
-  const bool tracing = exp::trace_requested(flags);
-  const bool profiling = exp::profile_requested(flags);
 
-  exp::sweep_profile prof;
-  const auto rows = exp::run_sweep(
-      xs, opts,
-      [&](const exp::sweep_point& pt) {
-    const cell& c = cells[pt.index];
-    // The sink must be installed before the testbed builds its world: links
-    // and agents latch the per-point trace buffer at construction.
-    obs::trace_buffer tb;
-    obs::trace_scope scope(tracing ? &tb : nullptr);
-    const site_plan sites = sites_for(c.topo);
+  const auto rows = exp::run_grid(g, opts, [&](const exp::sweep_point& pt) {
+    const std::size_t i = pt.index;
+    const std::string& strategy = g.value(i, attack);
+    const std::int64_t n = g.value(i, members);
+    const site_plan sites = sites_for(g.value(i, topo));
     sim::aqm_config aqm = aqm_base;
-    aqm.discipline = c.queue;
+    aqm.discipline = g.value(i, queue);
     exp::world_options world;
     world.seed = pt.seed;
-    world.probation_memory_slots = c.memory;
-    exp::testbed d(exp::named_scenario(c.topo, path_bps, aqm, world));
+    world.probation_memory_slots = g.value(i, memory);
+    exp::testbed d(
+        exp::named_scenario(g.value(i, topo), path_bps, aqm, world));
 
     // One session: the aggregated honest audience plus, in attack cells, one
     // individually simulated adversary hiding at the same contested path.
-    std::vector<exp::receiver_options> rogues;
-    if (c.attack != "none") {
-      exp::receiver_options attacker;
+    std::vector<exp::receiver_options> rogues(strategy != "none" ? 1 : 0);
+    for (exp::receiver_options& attacker : rogues) {
       attacker.at = sites.attacker;
       attacker.attack = adversary::make_profile(
-          adversary::strategy_from_name(c.attack).value(), attack_at, keys);
-      rogues.push_back(attacker);
+          adversary::strategy_from_name(strategy).value(), attack_at, keys);
     }
     auto& session = d.add_flid_session(mode, rogues);
 
     exp::population_options popts;
     popts.at = sites.population;
     popts.population = pop_base;
-    popts.population.initial_members = c.members;
+    popts.population.initial_members = n;
     if (popts.population.churn.flash_at < 0) {
       // --churn didn't script a flash: the bench's own storm, scaled to the
       // cell's population size.
       popts.population.churn.flash_at = sim::seconds(flash_at_s);
       popts.population.churn.flash_members = static_cast<std::int64_t>(
-          flash_frac * static_cast<double>(c.members));
+          flash_frac * static_cast<double>(n));
     }
     auto& pop = d.add_population(session, popts);
     auto& tcp = d.add_tcp_flow();
@@ -231,14 +180,9 @@ int main(int argc, char** argv) {
 
     const auto& agg = *pop.aggregate;
     exp::sweep_row row;
-    // Memory cells carry a "/mem" suffix; plain labels stay as before so
-    // cross-commit baseline diffs keep matching the historical rows.
-    row.label = c.topo + "/" + std::string(sim::qdisc_name(c.queue)) +
-                "/pop" + std::to_string(c.members) + "/" + c.attack +
-                (c.memory > 0 ? "/mem" : "");
-    row.value("population", static_cast<double>(c.members));
-    row.value("probation_memory", static_cast<double>(c.memory));
-    row.value("attacked", c.attack != "none" ? 1.0 : 0.0);
+    row.value("population", static_cast<double>(n));
+    row.value("probation_memory", static_cast<double>(g.value(i, memory)));
+    row.value("attacked", strategy != "none" ? 1.0 : 0.0);
     row.value("peak_members", static_cast<double>(agg.stats().peak_members));
     row.value("flash_arrivals",
               static_cast<double>(agg.stats().flash_arrivals));
@@ -275,7 +219,7 @@ int main(int argc, char** argv) {
                 static_cast<double>(edge.memory_inherits));
     }
 
-    if (c.attack != "none") {
+    if (strategy != "none") {
       adversary::containment_config ccfg;
       ccfg.attack_start = attack_at;
       ccfg.horizon = horizon;
@@ -305,13 +249,11 @@ int main(int argc, char** argv) {
     row.trace("member_kbps_series", agg.member_monitor().series_kbps());
     row.trace("delegate_kbps_series", pop.delegate->monitor().series_kbps());
     row.metrics = d.metrics().snapshot();
-    if (tracing) row.trace_blob = tb.serialize();
     return row;
-  },
-      profiling ? &prof : nullptr);
+  });
 
   std::printf("# flash crowd (%s): topo/qdisc/pop/attack\n",
-              mode_name.c_str());
+              flags.str("mode").c_str());
   std::printf("# %-40s %10s %12s %11s %12s %9s %8s\n", "cell", "peak",
               "state_bytes", "member_kbps", "events/sims", "atk_share",
               "ttc_s");
@@ -327,19 +269,10 @@ int main(int argc, char** argv) {
   // O(interfaces) state: across cells that differ only in population size,
   // the aggregate's member-state footprint must not grow.
   bool state_flat = true;
-  for (const auto& a : rows) {
-    for (const auto& b : rows) {
-      const auto suffix = [](const std::string& label) {
-        // topo/qdisc/popN/attack -> topo/qdisc + attack
-        const std::size_t p = label.find("/pop");
-        const std::size_t q = label.find('/', p + 1);
-        return label.substr(0, p) + label.substr(q);
-      };
-      if (suffix(a.label) != suffix(b.label)) continue;
-      if (a.value_of("aggregate_state_bytes") !=
-          b.value_of("aggregate_state_bytes")) {
-        state_flat = false;
-      }
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (rows[i].value_of("aggregate_state_bytes") !=
+        g.twin(rows, i, members, 0)->value_of("aggregate_state_bytes")) {
+      state_flat = false;
     }
   }
   exp::print_check(std::cout, "aggregate state independent of population size",
@@ -354,12 +287,9 @@ int main(int argc, char** argv) {
       ++attacked;
       if (row.value_of("contained") > 0.5) ++held;
     }
-    if (attacked > 0) {
-      exp::print_check(std::cout,
-                       "adversary contained among aggregated honest members",
-                       "all attack cells", static_cast<double>(held),
-                       "of " + std::to_string(attacked));
-    }
+    exp::print_count_check(
+        std::cout, "adversary contained among aggregated honest members",
+        "all attack cells", held, attacked);
     // Probation memory must not tax the honest crowd: across every
     // memory-on cell the population edge's remembered-debt hit rate stays
     // under 2% of admission attempts.
@@ -370,15 +300,10 @@ int main(int argc, char** argv) {
       ++memory_cells;
       if (row.value_of("fp_block_rate") < 0.02) ++cheap;
     }
-    if (memory_cells > 0) {
-      exp::print_check(std::cout,
-                       "honest leave/rejoin FP block rate < 2% under memory",
-                       "all memory cells", static_cast<double>(cheap),
-                       "of " + std::to_string(memory_cells));
-    }
+    exp::print_count_check(
+        std::cout, "honest leave/rejoin FP block rate < 2% under memory",
+        "all memory cells", cheap, memory_cells);
   }
-  exp::maybe_write_json(flags, "fig_flash_crowd", rows,
-                        profiling ? &prof : nullptr);
-  exp::maybe_write_trace(flags, rows);
+  exp::write_outputs(flags, opts, "fig_flash_crowd", rows);
   return 0;
 }

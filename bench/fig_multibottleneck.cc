@@ -23,6 +23,7 @@
 #include <iostream>
 
 #include "adversary/adversary.h"
+#include "exp/grid.h"
 #include "exp/report.h"
 #include "exp/sweep.h"
 #include "exp/testbed.h"
@@ -127,33 +128,31 @@ int main(int argc, char** argv) {
   exp::add_sweep_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
 
+  exp::check_window_flags(flags, "inflate_at", "measurement");
   const double duration = flags.f64("duration");
   const double inflate_at = flags.f64("inflate_at");
-  const auto opts = exp::sweep_options_from_flags(
-      flags, static_cast<std::uint64_t>(flags.i64("seed")));
+  const auto opts = exp::sweep_options_from_flags(flags);
   const sim::aqm_config base_aqm = exp::aqm_config_from_flags(flags);
-  const std::vector<sim::qdisc> qdiscs = exp::qdisc_list_from_flags(flags);
 
-  // Grid: (qdisc, protocol mode) pairs; x encodes the flattened index.
-  std::vector<double> grid(qdiscs.size() * 2);
-  for (std::size_t i = 0; i < grid.size(); ++i) grid[i] = static_cast<double>(i);
+  exp::grid g;
+  const auto queue = g.add(exp::qdisc_list_from_flags(flags), sim::qdisc_name);
+  const auto mode =
+      g.add(std::vector<exp::flid_mode>{exp::flid_mode::dl, exp::flid_mode::ds},
+            [](exp::flid_mode m) {
+              return m == exp::flid_mode::dl ? "FLID-DL" : "FLID-DS";
+            });
+  g.label_order({mode, queue});
 
-  const auto rows = exp::run_sweep(
-      grid, opts, [&](const exp::sweep_point& pt) {
-        const auto mode =
-            pt.index % 2 == 0 ? exp::flid_mode::dl : exp::flid_mode::ds;
-        sim::aqm_config aqm = base_aqm;
-        aqm.discipline = qdiscs[pt.index / 2];
-        exp::sweep_row row = run(mode, duration, inflate_at, pt.seed, aqm);
-        row.label = std::string(pt.index % 2 == 0 ? "FLID-DL/" : "FLID-DS/") +
-                    sim::qdisc_name(aqm.discipline);
-        return row;
-      });
+  const auto rows = exp::run_grid(g, opts, [&](const exp::sweep_point& pt) {
+    sim::aqm_config aqm = base_aqm;
+    aqm.discipline = g.value(pt.index, queue);
+    return run(g.value(pt.index, mode), duration, inflate_at, pt.seed, aqm);
+  });
 
-  for (std::size_t q = 0; q < qdiscs.size(); ++q) {
-    const exp::sweep_row& dl = rows[q * 2];
-    const exp::sweep_row& ds = rows[q * 2 + 1];
-    const std::string qd = sim::qdisc_name(qdiscs[q]);
+  for (const auto& [dl_cell, ds_cell] : g.pairs(mode)) {
+    const exp::sweep_row& dl = rows[dl_cell];
+    const exp::sweep_row& ds = rows[ds_cell];
+    const std::string qd = sim::qdisc_name(g.value(dl_cell, queue));
     print("FLID-DL over IGMP (unprotected) [qdisc=" + qd + "]", dl);
     print("FLID-DS = FLID-DL + DELTA + SIGMA [qdisc=" + qd + "]", ds);
 
@@ -169,6 +168,6 @@ int main(int argc, char** argv) {
     exp::print_check(std::cout, "invalid keys rejected at far edge (DS, " + qd + ")",
                      "> 0", ds.value_of("invalid_keys_far"), "");
   }
-  exp::maybe_write_json(flags, "fig_multibottleneck", rows);
+  exp::write_outputs(flags, opts, "fig_multibottleneck", rows);
   return 0;
 }

@@ -23,39 +23,31 @@
 // neighbour damage under DS+CM must sit strictly below DS-alone — the shared
 // fair-rate estimate stops every honest session from probing into the
 // attacker's overload at once, so the collateral loss cycle never starts.
-// CM cells carry a "/cm" label suffix; plain labels stay as before so
-// cross-commit baseline diffs keep matching historical rows.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "adversary/adversary.h"
+#include "exp/grid.h"
 #include "exp/report.h"
 #include "exp/sweep.h"
 #include "exp/testbed.h"
-#include "obs/trace.h"
 #include "util/flags.h"
 
 using namespace mcc;
 
 namespace {
 
-struct cell {
-  int sessions = 2;
-  std::string topo;
-  sim::qdisc queue;
-  std::string attack;
-  bool cm = false;  // shared congestion manager on
-};
-
 // World seed from the cell's cm-free coordinates (FNV-1a): a "/cm" row and
 // its plain twin simulate the SAME world, so their pair comparison isolates
 // the manager's effect instead of folding in seed noise. Worker-independent,
 // which the --jobs byte-equality contract needs.
-std::uint64_t cell_seed(std::uint64_t base, const cell& c) {
+std::uint64_t cell_seed(std::uint64_t base, int sessions,
+                        const std::string& topo, sim::qdisc queue,
+                        const std::string& attack) {
   std::uint64_t h = 1469598103934665603ull ^ (base * 1099511628211ull);
   const auto fold = [&h](const std::string& s) {
     for (const char ch : s) {
@@ -63,11 +55,11 @@ std::uint64_t cell_seed(std::uint64_t base, const cell& c) {
       h *= 1099511628211ull;
     }
   };
-  fold(c.topo);
-  fold(c.attack);
-  h ^= static_cast<std::uint64_t>(c.sessions);
+  fold(topo);
+  fold(attack);
+  h ^= static_cast<std::uint64_t>(sessions);
   h *= 1099511628211ull;
-  h ^= static_cast<std::uint64_t>(c.queue);
+  h ^= static_cast<std::uint64_t>(queue);
   h *= 1099511628211ull;
   return h;
 }
@@ -89,9 +81,7 @@ int main(int argc, char** argv) {
                  /*csv_list=*/true);
   flags.add_enum("topos", "dumbbell,parking_lot", "topologies to sweep",
                  {"dumbbell", "parking_lot"}, /*csv_list=*/true);
-  flags.add_enum("mode", "ds",
-                 "protocol world: ds (SIGMA-protected) or dl (plain)",
-                 {"ds", "dl"});
+  exp::add_mode_flag(flags);
   flags.add_enum("attack-keys", "guess",
                  "key mode for inflate_once/pulse_inflate",
                  {"best_effort", "replay", "guess"});
@@ -106,22 +96,11 @@ int main(int argc, char** argv) {
   exp::add_sweep_flags(flags);
   if (!flags.parse(argc, argv)) return 1;
 
-  const double duration = flags.f64("duration");
   const double attack_at_s = flags.f64("attack-at");
-  const double damage_window_s = flags.f64("damage-window");
-  if (!(damage_window_s >= 5.0)) {
-    std::fprintf(stderr,
-                 "bad value for --damage-window: %g (expected >= 5 s)\n",
-                 damage_window_s);
-    return 1;
-  }
-  if (duration <= attack_at_s + 10.0) {
-    std::fprintf(stderr,
-                 "bad value for --duration/--attack-at: %g/%g (need duration "
-                 "> attack-at + 10 s so the damage window is non-empty)\n",
-                 duration, attack_at_s);
-    return 1;
-  }
+  const double damage_window_s = exp::f64_in(
+      flags, "damage-window", 5.0, std::numeric_limits<double>::max(),
+      ">= 5 s");
+  exp::check_window_flags(flags, "attack-at", "damage");
   if (attack_at_s <= 15.0) {
     std::fprintf(stderr,
                  "bad value for --attack-at: %g (need > 15 s so the "
@@ -129,100 +108,65 @@ int main(int argc, char** argv) {
                  attack_at_s);
     return 1;
   }
-  const std::string mode_name = flags.str("mode");
-  const exp::flid_mode mode =
-      mode_name == "ds" ? exp::flid_mode::ds : exp::flid_mode::dl;
+  const exp::flid_mode mode = exp::mode_from_flags(flags);
   const adversary::key_mode keys =
       adversary::key_mode_from_name(flags.str("attack-keys")).value();
-  const double per_session_kbps = flags.f64("per-session-kbps");
-  if (!(per_session_kbps >= 50.0 && per_session_kbps <= 10e3)) {
-    std::fprintf(stderr,
-                 "bad value for --per-session-kbps: %g (expected a rate in "
-                 "[50, 10000])\n",
-                 per_session_kbps);
-    return 1;
-  }
+  const double per_session_kbps = exp::f64_in(
+      flags, "per-session-kbps", 50.0, 10e3, "a rate in [50, 10000]");
   const int check_sessions = static_cast<int>(flags.i64("check-sessions"));
 
-  std::vector<int> session_counts;
-  for (const std::string& tok : util::split_csv(flags.str("sessions"))) {
-    const int n = std::atoi(tok.c_str());
-    if (n < 2 || n > 64) {
-      std::fprintf(stderr,
-                   "bad value for --sessions: '%s' (expected counts in "
-                   "[2, 64])\n",
-                   tok.c_str());
-      return 1;
-    }
-    session_counts.push_back(n);
-  }
-  const std::vector<std::string> attacks =
-      util::split_csv(flags.str("attacks"));
-  const std::vector<std::string> topos = util::split_csv(flags.str("topos"));
-  const std::vector<sim::qdisc> qdiscs = exp::qdisc_list_from_flags(flags);
+  exp::grid g;
+  const auto sessions =
+      g.add(exp::count_axis_from_flags(flags, "sessions", 2, 64),
+            [](int n) { return "n" + std::to_string(n); });
+  const auto topo = g.add(flags.list("topos"));
+  const auto queue = g.add(exp::qdisc_list_from_flags(flags), sim::qdisc_name);
   const sim::aqm_config aqm_base = exp::aqm_config_from_flags(flags);
-  std::vector<bool> cms = exp::cm_axis_from_flags(flags);
+  const auto attack = g.add(flags.list("attacks"));
+  const auto cm = g.toggle(exp::cm_axis_from_flags(flags), "cm");
+  g.label_order({topo, queue, sessions, attack, cm});
   const cm::cm_config cm_params = exp::cm_config_from_flags(flags);
-
-  std::vector<cell> cells;
-  for (const int n : session_counts) {
-    for (const std::string& t : topos) {
-      for (const sim::qdisc q : qdiscs) {
-        for (const std::string& a : attacks) {
-          for (const bool c : cms) cells.push_back({n, t, q, a, c});
-        }
-      }
-    }
-  }
-
-  std::vector<double> xs(cells.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) xs[i] = static_cast<double>(i);
-  const std::uint64_t base_seed = static_cast<std::uint64_t>(flags.i64("seed"));
-  const auto opts = exp::sweep_options_from_flags(flags, base_seed);
+  const auto opts = exp::sweep_options_from_flags(flags);
 
   const sim::time_ns attack_at = sim::seconds(attack_at_s);
-  const sim::time_ns horizon = sim::seconds(duration);
-  const bool tracing = exp::trace_requested(flags);
-  const bool profiling = exp::profile_requested(flags);
+  const sim::time_ns horizon = sim::seconds(flags.f64("duration"));
 
-  exp::sweep_profile prof;
-  const auto rows = exp::run_sweep(
-      xs, opts,
-      [&](const exp::sweep_point& pt) {
-    const cell& c = cells[pt.index];
-    obs::trace_buffer tb;
-    obs::trace_scope scope(tracing ? &tb : nullptr);
+  const auto rows = exp::run_grid(g, opts, [&](const exp::sweep_point& pt) {
+    const std::size_t i = pt.index;
+    const int n = g.value(i, sessions);
+    const std::string& strategy = g.value(i, attack);
     // The bottleneck grows with the farm so the per-session fair share
     // stays put: the sessions axis varies contention structure, not the
     // per-session budget.
-    const double path_bps =
-        per_session_kbps * 1e3 * static_cast<double>(c.sessions);
+    const double path_bps = per_session_kbps * 1e3 * static_cast<double>(n);
     sim::aqm_config aqm = aqm_base;
-    aqm.discipline = c.queue;
+    aqm.discipline = g.value(i, queue);
     exp::world_options world;
-    world.seed = cell_seed(base_seed, c);
-    world.cm = c.cm;
+    world.seed = cell_seed(opts.base_seed, n, g.value(i, topo), aqm.discipline,
+                           strategy);
+    world.cm = g.value(i, cm);
     world.cm_params = cm_params;
-    exp::testbed d(exp::named_scenario(c.topo, path_bps, aqm, world));
+    exp::testbed d(
+        exp::named_scenario(g.value(i, topo), path_bps, aqm, world));
     // Every session's receivers sit at the contested edge: the far end of
     // the path, the scenario's default receiver site.
     const std::string shared_site = d.config().receiver_site;
 
     // Session 0 carries the farm's one misbehaving receiver; every other
     // session is an honest neighbour at the same contested edge.
-    std::vector<exp::flid_session*> honest;
     exp::flid_session* rogue = nullptr;
-    if (c.attack != "none") {
+    if (strategy != "none") {
       exp::receiver_options attacker;
       attacker.at = shared_site;
       attacker.attack = adversary::make_profile(
-          adversary::strategy_from_name(c.attack).value(), attack_at, keys);
+          adversary::strategy_from_name(strategy).value(), attack_at, keys);
       rogue = &d.add_flid_session(mode, {attacker});
     }
     exp::receiver_options neighbour;
     neighbour.at = shared_site;
-    const int honest_count = c.sessions - (rogue != nullptr ? 1 : 0);
-    honest = d.add_session_array(honest_count, mode, {neighbour});
+    const int honest_count = n - (rogue != nullptr ? 1 : 0);
+    const std::vector<exp::flid_session*> honest =
+        d.add_session_array(honest_count, mode, {neighbour});
     d.run_until(horizon);
 
     // Pre-attack baseline vs the attack-transient window. The damage window
@@ -239,12 +183,9 @@ int main(int argc, char** argv) {
         exp::session_rollup_for(honest, post0, post1);
 
     exp::sweep_row row;
-    row.label = c.topo + "/" + std::string(sim::qdisc_name(c.queue)) + "/n" +
-                std::to_string(c.sessions) + "/" + c.attack +
-                (c.cm ? "/cm" : "");
-    row.value("sessions", static_cast<double>(c.sessions));
-    row.value("cm", c.cm ? 1.0 : 0.0);
-    row.value("attacked", c.attack != "none" ? 1.0 : 0.0);
+    row.value("sessions", static_cast<double>(n));
+    row.value("cm", g.value(i, cm) ? 1.0 : 0.0);
+    row.value("attacked", strategy != "none" ? 1.0 : 0.0);
     const double n_honest = static_cast<double>(honest.size());
     const double pre_mean = pre.total_rate / n_honest;
     const double post_mean = post.total_rate / n_honest;
@@ -275,13 +216,11 @@ int main(int argc, char** argv) {
     row.value("events", static_cast<double>(d.sched().executed_events()));
     row.trace("honest_session0_kbps_series", post.sessions.front().smoothed);
     row.metrics = d.metrics().snapshot();
-    if (tracing) row.trace_blob = tb.serialize();
     return row;
-  },
-      profiling ? &prof : nullptr);
+  });
 
   std::printf("# session farm (%s): topo/qdisc/nN/attack[/cm]\n",
-              mode_name.c_str());
+              flags.str("mode").c_str());
   std::printf("# %-42s %8s %10s %10s %9s %9s %11s\n", "cell", "sessions",
               "honest_kbps", "atk_kbps", "damage", "jain", "cm_bindings");
   for (const auto& row : rows) {
@@ -301,59 +240,48 @@ int main(int argc, char** argv) {
   // a behavioural no-op, which ties the pair and says nothing either way.
   // Smaller farms are reported but not claimed (two sessions leave the
   // estimate noisy).
-  if (cms.size() > 1) {
-    int pairs = 0;
-    int worse = 0;
-    int bound_cells = 0;
-    double dmg_off_sum = 0.0;
-    double dmg_on_sum = 0.0;
-    for (const auto& row : rows) {
-      if (row.value_of("attacked") != 1.0) continue;
-      if (row.value_of("cm") != 0.0) continue;
-      if (row.value_of("sessions") < static_cast<double>(check_sessions)) {
-        continue;
-      }
-      const exp::sweep_row* cm_row = nullptr;
-      for (const auto& other : rows) {
-        if (other.label == row.label + "/cm") cm_row = &other;
-      }
-      if (cm_row == nullptr) continue;
-      ++pairs;
-      // Matched-pair damage against a COMMON baseline — the DS-alone cell's
-      // own pre-attack goodput. The per-row neighbour_damage column is
-      // self-normalised, which is right for reading one cell but wrong for
-      // the pair comparison: the manager shifts the pre-attack window too,
-      // and that shift would launder into the ratio.
-      const double base = row.value_of("honest_pre_kbps");
-      const double dmg_off =
-          std::max(0.0, 1.0 - row.value_of("honest_kbps") / base);
-      const double dmg_on =
-          std::max(0.0, 1.0 - cm_row->value_of("honest_kbps") / base);
-      dmg_off_sum += dmg_off;
-      dmg_on_sum += dmg_on;
-      if (dmg_on > dmg_off) ++worse;
-      if (cm_row->value_of("cm_bindings") > 0.0) ++bound_cells;
+  int pairs = 0;
+  int worse = 0;
+  int bound_cells = 0;
+  double dmg_off_sum = 0.0;
+  double dmg_on_sum = 0.0;
+  for (const auto& [off, on] : g.pairs(cm)) {
+    if (rows[off].value_of("attacked") != 1.0 ||
+        g.value(off, sessions) < check_sessions) {
+      continue;
     }
-    // A claim only prints when its cells actually ran: "0 of 0" reads as
-    // the study passing when nothing was checked.
-    if (pairs > 0) {
-      const double reduction = (dmg_off_sum - dmg_on_sum) / pairs;
-      exp::print_check(
-          std::cout,
-          "mean honest-neighbour damage reduction, DS+CM vs DS-alone "
-          "(n >= " + std::to_string(check_sessions) + ")",
-          "strictly > 0", reduction,
-          "damage fraction over " + std::to_string(pairs) + " pairs");
-      exp::print_check(std::cout,
-                       "cm farms where the shared cap actually bound",
-                       "all of them", static_cast<double>(bound_cells),
-                       "of " + std::to_string(pairs));
-      std::printf("  (pairs where cm made damage worse: %d of %d)\n", worse,
-                  pairs);
-    }
+    ++pairs;
+    // Matched-pair damage against a COMMON baseline — the DS-alone cell's
+    // own pre-attack goodput. The per-row neighbour_damage column is
+    // self-normalised, which is right for reading one cell but wrong for
+    // the pair comparison: the manager shifts the pre-attack window too,
+    // and that shift would launder into the ratio.
+    const double base = rows[off].value_of("honest_pre_kbps");
+    const double dmg_off =
+        std::max(0.0, 1.0 - rows[off].value_of("honest_kbps") / base);
+    const double dmg_on =
+        std::max(0.0, 1.0 - rows[on].value_of("honest_kbps") / base);
+    dmg_off_sum += dmg_off;
+    dmg_on_sum += dmg_on;
+    if (dmg_on > dmg_off) ++worse;
+    if (rows[on].value_of("cm_bindings") > 0.0) ++bound_cells;
   }
-  exp::maybe_write_json(flags, "fig_session_farm", rows,
-                        profiling ? &prof : nullptr);
-  exp::maybe_write_trace(flags, rows);
+  // A claim only prints when its cells actually ran: "0 of 0" reads as the
+  // study passing when nothing was checked.
+  if (pairs > 0) {
+    const double reduction = (dmg_off_sum - dmg_on_sum) / pairs;
+    exp::print_check(
+        std::cout,
+        "mean honest-neighbour damage reduction, DS+CM vs DS-alone "
+        "(n >= " + std::to_string(check_sessions) + ")",
+        "strictly > 0", reduction,
+        "damage fraction over " + std::to_string(pairs) + " pairs");
+    exp::print_count_check(std::cout,
+                           "cm farms where the shared cap actually bound",
+                           "all of them", bound_cells, pairs);
+    std::printf("  (pairs where cm made damage worse: %d of %d)\n", worse,
+                pairs);
+  }
+  exp::write_outputs(flags, opts, "fig_session_farm", rows);
   return 0;
 }

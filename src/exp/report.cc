@@ -50,6 +50,13 @@ void print_check(std::ostream& os, const std::string& what,
      << std::fixed << std::setprecision(2) << measured << " " << unit << "\n";
 }
 
+void print_count_check(std::ostream& os, const std::string& what,
+                       const std::string& paper_says, int held, int of) {
+  if (of == 0) return;
+  print_check(os, what, paper_says, static_cast<double>(held),
+              "of " + std::to_string(of));
+}
+
 series ewma_smooth(const series& raw, double weight) {
   series out;
   out.reserve(raw.size());
@@ -81,18 +88,6 @@ session_rollup roll_up_sessions(const std::vector<session_sample>& sessions,
   }
   out.jain = sim::jain_fairness_index(rates);
   return out;
-}
-
-void print_session_rollup(std::ostream& os, const std::string& title,
-                          const session_rollup& r) {
-  os << "# " << title << "\n";
-  for (const session_column& s : r.sessions) {
-    os << "  " << s.name << " " << std::fixed << std::setprecision(2) << s.rate
-       << "\n";
-  }
-  os << "  total " << std::fixed << std::setprecision(2) << r.total_rate
-     << "\n";
-  os << "  jain " << std::setprecision(4) << r.jain << "\n\n";
 }
 
 }  // namespace mcc::exp

@@ -28,6 +28,12 @@ void print_check(std::ostream& os, const std::string& what,
                  const std::string& paper_says, double measured,
                  const std::string& unit);
 
+/// A print_check counting the cells a claim holds for: "held of N". Prints
+/// nothing when no cell was checked (of == 0): "0 of 0" would read as the
+/// claim passing when nothing ran.
+void print_count_check(std::ostream& os, const std::string& what,
+                       const std::string& paper_says, int held, int of);
+
 // ---------------------------------------------------------------------------
 // Cross-session roll-up: per-session throughput columns + Jain fairness
 // ---------------------------------------------------------------------------
@@ -66,10 +72,6 @@ struct session_rollup {
 /// smoothed with an independent smoother, plus Jain fairness over the rates.
 [[nodiscard]] session_rollup roll_up_sessions(
     const std::vector<session_sample>& sessions, double smooth_weight = 0.3);
-
-/// Prints the roll-up: one "name rate" row per session, then total and Jain.
-void print_session_rollup(std::ostream& os, const std::string& title,
-                          const session_rollup& r);
 
 }  // namespace mcc::exp
 

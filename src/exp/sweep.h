@@ -11,7 +11,10 @@
 //
 // Rows carry named scalars (table columns) and named series (trajectories);
 // the same rows print as the existing gnuplot tables via exp::report and
-// serialize as machine-readable BENCH_*.json documents via `--json`.
+// serialize as machine-readable BENCH_*.json documents via `--json`. Benches
+// with several axes declare them as an exp::grid (grid.h). `--trace` and
+// `--profile` reach every bench through sweep_options: run_sweep records and
+// times the points, write_outputs writes the files.
 #ifndef MCC_EXP_SWEEP_H
 #define MCC_EXP_SWEEP_H
 
@@ -19,6 +22,7 @@
 #include <functional>
 #include <iosfwd>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -41,9 +45,33 @@ struct sweep_point {
 [[nodiscard]] std::uint64_t point_seed(std::uint64_t base_seed,
                                        std::size_t index);
 
+/// Wall-clock self-profiling of one sweep run (the "engine events/sec per
+/// phase" side of observability). Everything here is measured from the host
+/// clock, so it is nondeterministic by design and only ever emitted under
+/// --profile — the default BENCH output stays byte-identical run to run.
+struct sweep_profile {
+  double wall_ms = 0.0;          // whole-grid wall clock
+  std::size_t points = 0;        // grid points run
+  double points_per_sec = 0.0;   // points / wall seconds
+  /// Sum of the rows' "sched.executed_events" metric (0 when no row
+  /// snapshots it) and the derived whole-run event throughput.
+  double events_executed = 0.0;
+  double events_per_sec = 0.0;
+  /// Per-point wall time, milliseconds.
+  obs::histogram point_ms{
+      {1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0, 10000.0, 30000.0}};
+};
+
 struct sweep_options {
   int jobs = 1;  // worker threads (values < 1 behave like 1)
   std::uint64_t base_seed = 1;
+  /// Record each point's event trace: run_sweep installs an
+  /// obs::trace_scope around the point and stores the serialized buffer in
+  /// its row's trace_blob (--trace).
+  bool trace = false;
+  /// When set, run_sweep fills it with the run's wall-clock self-profile
+  /// (--profile); shared so every copy of the options reports into it.
+  std::shared_ptr<sweep_profile> profile;
 };
 
 /// Registers the sweep-standard flags on a bench's flag set:
@@ -59,19 +87,16 @@ struct sweep_options {
 void add_sweep_flags(util::flag_set& flags);
 
 /// Reads the standard flags back; `base_seed` is the bench's own seed flag.
-/// Also applies --log-level (flag wins over the MCC_LOG_LEVEL env fallback)
-/// to util::set_log_level; a bad level name prints a friendly message and
-/// exits(1), like any other bad flag value (bench-main glue).
+/// A --trace path sets `trace` and --profile allocates `profile`, so every
+/// bench's run_sweep honours both. Also applies --log-level (flag wins over
+/// the MCC_LOG_LEVEL env fallback) to util::set_log_level; a bad level name
+/// prints a friendly message and exits(1), like any other bad flag value
+/// (bench-main glue).
 [[nodiscard]] sweep_options sweep_options_from_flags(
     const util::flag_set& flags, std::uint64_t base_seed);
-
-/// True when the bench was asked to record an event trace. Wired benches
-/// install an obs::trace_scope around each grid point and store the
-/// serialized buffer in sweep_row::trace_blob.
-[[nodiscard]] bool trace_requested(const util::flag_set& flags);
-
-/// True when --profile was set.
-[[nodiscard]] bool profile_requested(const util::flag_set& flags);
+/// The same with the bench's --seed flag as the base seed.
+[[nodiscard]] sweep_options sweep_options_from_flags(
+    const util::flag_set& flags);
 
 /// One grid point's reported results: named scalar values plus named series.
 struct sweep_row {
@@ -87,7 +112,7 @@ struct sweep_row {
   /// Deterministic — identical across --jobs.
   obs::metric_snapshot metrics;
   /// Serialized obs::trace_buffer segment ("" = tracing off). Merged in row
-  /// order by maybe_write_trace, so the trace file is jobs-invariant too.
+  /// order by write_outputs, so the trace file is jobs-invariant too.
   std::string trace_blob;
 
   sweep_row& value(std::string name, double v) {
@@ -110,33 +135,15 @@ struct sweep_row {
 [[nodiscard]] series column(const std::vector<sweep_row>& rows,
                             const std::string& name);
 
-/// Wall-clock self-profiling of one sweep run (the "engine events/sec per
-/// phase" side of observability). Everything here is measured from the host
-/// clock, so it is nondeterministic by design and only ever emitted under
-/// --profile — the default BENCH output stays byte-identical run to run.
-struct sweep_profile {
-  double wall_ms = 0.0;          // whole-grid wall clock
-  std::size_t points = 0;        // grid points run
-  double points_per_sec = 0.0;   // points / wall seconds
-  /// Sum of the rows' "sched.executed_events" metric (0 when no row
-  /// snapshots it) and the derived whole-run event throughput.
-  double events_executed = 0.0;
-  double events_per_sec = 0.0;
-  /// Per-point wall time, milliseconds.
-  obs::histogram point_ms{
-      {1.0, 3.0, 10.0, 30.0, 100.0, 300.0, 1000.0, 3000.0, 10000.0, 30000.0}};
-};
-
 /// Runs `fn` once per grid point on opts.jobs worker threads. Results return
 /// in grid order; a row whose x was left unset inherits the point's x. The
 /// first exception thrown by any point is rethrown after the workers join;
-/// points not yet started when a point fails are abandoned. A non-null
-/// `profile` collects wall-clock self-profiling for the run (rows are
-/// unaffected — determinism contracts hold with or without it).
+/// points not yet started when a point fails are abandoned. opts.trace and
+/// opts.profile observe the run without changing any row's results; with
+/// both off nothing is added per point.
 std::vector<sweep_row> run_sweep(
     const std::vector<double>& xs, const sweep_options& opts,
-    const std::function<sweep_row(const sweep_point&)>& fn,
-    sweep_profile* profile = nullptr);
+    const std::function<sweep_row(const sweep_point&)>& fn);
 
 /// Writes rows as a machine-readable JSON document ("BENCH_<name>.json"),
 /// schema_version 2: per-row "metrics" objects plus an optional document
@@ -145,22 +152,15 @@ void write_json(std::ostream& os, const std::string& bench,
                 const std::vector<sweep_row>& rows,
                 const sweep_profile* profile = nullptr);
 
-/// Honors a bench's --json flag: empty value = no-op, otherwise writes the
-/// JSON document to the named file (stderr note on success, throws on I/O
-/// failure). The overload with a profile emits the "profile" block when the
-/// pointer is non-null.
-void maybe_write_json(const util::flag_set& flags, const std::string& bench,
-                      const std::vector<sweep_row>& rows);
-void maybe_write_json(const util::flag_set& flags, const std::string& bench,
-                      const std::vector<sweep_row>& rows,
-                      const sweep_profile* profile);
-
-/// Honors a bench's --trace flag: empty value = no-op, otherwise writes the
-/// rows' trace blobs to the named file in row order ("MCCT" container; see
-/// docs/observability.md), byte-identical across --jobs. Rows without a
-/// blob are skipped.
-void maybe_write_trace(const util::flag_set& flags,
-                       const std::vector<sweep_row>& rows);
+/// Honors a bench's --json and --trace flags (an empty value = no-op). The
+/// JSON document carries the "profile" block when opts.profile is set. The
+/// trace file holds the rows' trace blobs in row order ("MCCT" container;
+/// see docs/observability.md), byte-identical across --jobs; rows without a
+/// blob are skipped. Notes each written file on stderr; throws on I/O
+/// failure.
+void write_outputs(const util::flag_set& flags, const sweep_options& opts,
+                   const std::string& bench,
+                   const std::vector<sweep_row>& rows);
 
 }  // namespace mcc::exp
 

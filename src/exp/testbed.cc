@@ -1,5 +1,6 @@
 #include "exp/testbed.h"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -462,30 +463,19 @@ void testbed::register_link_metrics() {
     const sim::link* l = owned.get();
     const obs::label_list labels{{"from", l->from()->name()},
                                  {"to", l->to()->name()}};
-    metrics_.add_view("link.enqueued", labels, [l] {
-      return static_cast<double>(l->stats().enqueued);
-    });
-    metrics_.add_view("link.dropped", labels, [l] {
-      return static_cast<double>(l->stats().dropped);
-    });
-    metrics_.add_view("link.aqm_dropped", labels, [l] {
-      return static_cast<double>(l->stats().aqm_dropped);
-    });
-    metrics_.add_view("link.delivered", labels, [l] {
-      return static_cast<double>(l->stats().delivered);
-    });
-    metrics_.add_view("link.ecn_marked", labels, [l] {
-      return static_cast<double>(l->stats().ecn_marked);
-    });
-    metrics_.add_view("link.bytes_delivered", labels, [l] {
-      return static_cast<double>(l->stats().bytes_delivered);
-    });
-    metrics_.add_view("link.bytes_dropped", labels, [l] {
-      return static_cast<double>(l->stats().bytes_dropped);
-    });
-    metrics_.add_view("link.max_queued_bytes", labels, [l] {
-      return static_cast<double>(l->stats().max_queued_bytes);
-    });
+    const auto add = [&](const char* name, auto field) {
+      metrics_.add_view(std::string("link.") + name, labels, [l, field] {
+        return static_cast<double>(l->stats().*field);
+      });
+    };
+    add("enqueued", &sim::link_stats::enqueued);
+    add("dropped", &sim::link_stats::dropped);
+    add("aqm_dropped", &sim::link_stats::aqm_dropped);
+    add("delivered", &sim::link_stats::delivered);
+    add("ecn_marked", &sim::link_stats::ecn_marked);
+    add("bytes_delivered", &sim::link_stats::bytes_delivered);
+    add("bytes_dropped", &sim::link_stats::bytes_dropped);
+    add("max_queued_bytes", &sim::link_stats::max_queued_bytes);
   }
 }
 
@@ -647,12 +637,16 @@ namespace {
   std::exit(1);
 }
 
+}  // namespace
+
 double f64_in(const util::flag_set& flags, const char* flag, double lo,
               double hi, const char* expected) {
   const double v = flags.f64(flag);
   if (!(v >= lo && v <= hi)) bad_number(flag, v, expected);
   return v;
 }
+
+namespace {
 
 std::int64_t i64_in(const util::flag_set& flags, const char* flag,
                     std::int64_t lo, std::int64_t hi, const char* expected) {
@@ -680,6 +674,35 @@ std::vector<T> off_on_axis(const util::flag_set& flags, const char* name,
 
 }  // namespace
 
+void check_window_flags(const util::flag_set& flags, const char* onset_flag,
+                        const char* window) {
+  const double duration = flags.f64("duration");
+  const double onset = flags.f64(onset_flag);
+  if (duration > onset + 10.0) return;
+  std::fprintf(stderr,
+               "bad value for --duration/--%s: %g/%g (need duration > %s + "
+               "10 s so the %s window is non-empty)\n",
+               onset_flag, duration, onset, onset_flag, window);
+  std::exit(1);
+}
+
+void add_mode_flag(util::flag_set& flags) {
+  flags.add_enum("mode", "ds",
+                 "protocol world: ds (SIGMA-protected) or dl (plain)",
+                 {"ds", "dl"});
+}
+
+flid_mode mode_from_flags(const util::flag_set& flags) {
+  return flags.str("mode") == "ds" ? flid_mode::ds : flid_mode::dl;
+}
+
+void note_off_under_dl(const char* flag) {
+  std::fprintf(stderr,
+               "note: --%s has no effect under --mode=dl; running the axis "
+               "off\n",
+               flag);
+}
+
 void add_aqm_flags(util::flag_set& flags) {
   flags.add_enum("qdisc", "droptail",
                  "queue discipline(s); comma lists sweep one grid axis per "
@@ -697,13 +720,8 @@ void add_aqm_flags(util::flag_set& flags) {
 }
 
 std::vector<sim::qdisc> qdisc_list_from_flags(const util::flag_set& flags) {
-  const std::string spec = flags.str("qdisc");
-  if (spec == "all") {
-    return {sim::qdisc::droptail, sim::qdisc::ecn_threshold, sim::qdisc::red,
-            sim::qdisc::codel};
-  }
   std::vector<sim::qdisc> out;
-  for (const std::string& name : util::split_csv(spec)) {
+  for (const std::string& name : flags.list("qdisc")) {
     // add_enum has already rejected unknown names and a non-standalone "all".
     const auto d = sim::qdisc_from_name(name);
     util::require(d.has_value(), "qdisc_list_from_flags: unknown qdisc", name);
@@ -815,6 +833,22 @@ double spec_number(const char* flag, const std::string& spec,
 
 }  // namespace
 
+std::vector<int> count_axis_from_flags(const util::flag_set& flags,
+                                       const char* flag, int lo, int hi) {
+  const std::string expected = "counts in [" + std::to_string(lo) + ", " +
+                               std::to_string(hi) + "]";
+  std::vector<int> out;
+  for (const std::string& tok : flags.list(flag)) {
+    // The token doubles as the echoed spec: the message names the bad entry.
+    const double v = spec_number(flag, tok, tok, expected.c_str());
+    if (v != std::trunc(v) || v < lo || v > hi) {
+      bad_flag(flag, tok, expected.c_str());
+    }
+    out.push_back(static_cast<int>(v));
+  }
+  return out;
+}
+
 void add_population_flags(util::flag_set& flags, const char* default_sizes) {
   flags.add("population", default_sizes,
             "aggregated population size(s): comma-separated member counts, "
@@ -847,7 +881,7 @@ population::population_config population_config_from_flags(
   if (churn != "none") {
     static const char* churn_expect =
         "none, or comma list of arrive:R, leave:R, flash:T:N, flash-leave:T";
-    for (const std::string& item : util::split_csv(churn)) {
+    for (const std::string& item : flags.list("churn")) {
       if (item.rfind("arrive:", 0) == 0) {
         cfg.churn.arrival_per_sec =
             spec_number("churn", churn, item.substr(7), churn_expect);
@@ -877,14 +911,10 @@ std::vector<std::int64_t> population_axis_from_flags(
     const util::flag_set& flags) {
   const std::string spec = flags.str("population");
   std::vector<std::int64_t> out;
-  for (const std::string& tok : util::split_csv(spec)) {
+  for (const std::string& tok : flags.list("population")) {
     const double v = spec_number("population", spec, tok,
                                  "comma-separated non-negative member counts");
     out.push_back(static_cast<std::int64_t>(v));
-  }
-  if (out.empty()) {
-    bad_flag("population", spec,
-             "comma-separated non-negative member counts");
   }
   return out;
 }

@@ -405,9 +405,47 @@ struct tree_config : world_options {
     sim::time_ns t1);
 
 // ---------------------------------------------------------------------------
+// Bench flag glue. Bad values print the friendly "bad value for --flag"
+// message and exit(1) in the bench's main thread, before any sweep worker
+// starts.
+// ---------------------------------------------------------------------------
+
+/// Requires --duration > --<onset_flag> + 10 s, so the measurement window
+/// after the onset's 10 s settle is non-empty. `window` names it in the
+/// message ("containment", "damage", "measurement").
+void check_window_flags(const util::flag_set& flags, const char* onset_flag,
+                        const char* window);
+
+/// --flag read as a number in [lo, hi]; anything else exits with
+/// "bad value for --flag: V (expected <expected>)".
+[[nodiscard]] double f64_in(const util::flag_set& flags, const char* flag,
+                            double lo, double hi, const char* expected);
+
+/// Registers the protocol-world switch: --mode ds (SIGMA-protected) | dl.
+void add_mode_flag(util::flag_set& flags);
+[[nodiscard]] flid_mode mode_from_flags(const util::flag_set& flags);
+
+/// A dl world has neither keys nor a SIGMA router, so an off/on
+/// countermeasure axis would only duplicate cells there: under dl an axis
+/// holding anything but {off} collapses to {off} with a stderr note naming
+/// `flag` (note_off_under_dl). Otherwise the axis is returned unchanged.
+void note_off_under_dl(const char* flag);
+template <typename T>
+[[nodiscard]] std::vector<T> off_under_dl(flid_mode mode, const char* flag,
+                                          std::vector<T> axis) {
+  if (mode == flid_mode::ds || (axis.size() == 1 && axis.front() == T{})) {
+    return axis;
+  }
+  note_off_under_dl(flag);
+  return {T{}};
+}
+
+/// A comma-separated list of integer counts, each in [lo, hi].
+[[nodiscard]] std::vector<int> count_axis_from_flags(
+    const util::flag_set& flags, const char* flag, int lo, int hi);
+
 // AQM flag glue: every bench that sweeps queue disciplines registers the
 // same flags and decodes them the same way.
-// ---------------------------------------------------------------------------
 
 /// Registers the shared AQM flags on a bench's flag set:
 ///   --qdisc LIST       comma-separated disciplines (droptail|ecn|red|codel),
@@ -429,8 +467,8 @@ void add_aqm_flags(util::flag_set& flags);
 [[nodiscard]] sim::aqm_config aqm_config_from_flags(
     const util::flag_set& flags);
 
-/// The full --qdisc list in declaration order ("all" expands to every
-/// discipline). The parser has already rejected unknown names.
+/// The full --qdisc list in order ("all" expands to every discipline). The
+/// parser has already rejected unknown names.
 [[nodiscard]] std::vector<sim::qdisc> qdisc_list_from_flags(
     const util::flag_set& flags);
 

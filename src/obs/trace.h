@@ -11,7 +11,7 @@
 // trace_scope around one sweep point's world build + run. Each grid point
 // records into its own buffer, so every `--jobs N` run produces
 // byte-identical per-row blobs (merged in row order by
-// exp::maybe_write_trace). Engine components capture current_trace() at
+// exp::write_outputs). Engine components capture current_trace() at
 // construction time — when tracing is off the captured pointer is null and
 // every hook is one predicted-not-taken branch.
 //

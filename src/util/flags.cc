@@ -9,6 +9,8 @@
 
 namespace mcc::util {
 
+namespace {
+
 std::vector<std::string> split_csv(const std::string& spec) {
   std::vector<std::string> out;
   std::size_t pos = 0;
@@ -21,8 +23,6 @@ std::vector<std::string> split_csv(const std::string& spec) {
   }
   return out;
 }
-
-namespace {
 
 /// Whole-string integer parse; nullopt on any trailing garbage.
 std::optional<std::int64_t> parse_i64(const std::string& s) {
@@ -202,6 +202,17 @@ double flag_set::f64(const std::string& name) const {
 bool flag_set::boolean(const std::string& name) const {
   auto v = str(name);
   return v == "1" || v == "true" || v == "yes" || v == "on";
+}
+
+std::vector<std::string> flag_set::list(const std::string& name) const {
+  const std::string v = str(name);
+  const entry& e = entries_.at(name);
+  if (v != "all" || e.k != kind::enumerated) return split_csv(v);
+  std::vector<std::string> out;
+  for (const std::string& a : e.allowed) {
+    if (a != "all") out.push_back(a);
+  }
+  return out;
 }
 
 void flag_set::print_usage() const {

@@ -18,12 +18,6 @@
 
 namespace mcc::util {
 
-/// Splits a comma-separated flag value into its entries, in order. Empty
-/// segments are preserved ("a,,b" -> {"a", "", "b"}; "" -> {""}) so callers
-/// reject them with their own friendly message instead of silently skipping
-/// a typo.
-[[nodiscard]] std::vector<std::string> split_csv(const std::string& spec);
-
 /// Declarative set of command-line flags with typed accessors.
 class flag_set {
  public:
@@ -52,6 +46,12 @@ class flag_set {
   [[nodiscard]] std::int64_t i64(const std::string& name) const;
   [[nodiscard]] double f64(const std::string& name) const;
   [[nodiscard]] bool boolean(const std::string& name) const;
+  /// The value's comma-separated elements, in order. Empty elements are
+  /// kept ("a,,b" -> {"a", "", "b"}) so callers reject them with their own
+  /// friendly message instead of silently skipping a typo. A standalone "all"
+  /// on an add_enum flag that allows it expands to every other allowed
+  /// value, in declaration order.
+  [[nodiscard]] std::vector<std::string> list(const std::string& name) const;
 
   /// Positional (non-flag) arguments in order of appearance.
   [[nodiscard]] const std::vector<std::string>& positional() const {

@@ -226,6 +226,32 @@ TEST(flags, enum_csv_flag_validates_every_element) {
   EXPECT_FALSE(flags4.parse(2, all_in_list));
 }
 
+TEST(flags, list_splits_elements_and_expands_a_standalone_all) {
+  const auto parsed = [](const char* arg) {
+    flag_set flags;
+    flags.add_enum("topos", "dumbbell,tree", "topologies",
+                   {"dumbbell", "parking_lot", "star", "tree", "all"},
+                   /*csv_list=*/true);
+    flags.add("sessions", "2,8", "plain csv string");
+    const char* argv[] = {"prog", arg};
+    EXPECT_TRUE(flags.parse(2, argv));
+    return flags;
+  };
+  const flag_set defaults = parsed("--sessions=2,8");
+  EXPECT_EQ(defaults.list("topos"),
+            (std::vector<std::string>{"dumbbell", "tree"}));
+  EXPECT_EQ(defaults.list("sessions"), (std::vector<std::string>{"2", "8"}));
+  // "all" is every other allowed value, in declaration order.
+  EXPECT_EQ(parsed("--topos=all").list("topos"),
+            (std::vector<std::string>{"dumbbell", "parking_lot", "star",
+                                      "tree"}));
+  EXPECT_EQ(parsed("--topos=tree,dumbbell").list("topos"),
+            (std::vector<std::string>{"tree", "dumbbell"}));
+  // Only an enum expands "all": on a plain flag it is just a word.
+  EXPECT_EQ(parsed("--sessions=all").list("sessions"),
+            std::vector<std::string>{"all"});
+}
+
 TEST(flags, enum_default_must_be_listed) {
   flag_set flags;
   EXPECT_THROW(flags.add_enum("cm", "of", "typo'd default",

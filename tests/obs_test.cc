@@ -294,9 +294,7 @@ TEST(testbed_trace, engine_emits_all_three_track_families) {
 // configuration byte-identically, and the JSON writer emits schema 2.
 // ---------------------------------------------------------------------------
 
-exp::sweep_row tiny_world_row(const exp::sweep_point& pt, bool tracing) {
-  obs::trace_buffer tb;
-  obs::trace_scope scope(tracing ? &tb : nullptr);
+exp::sweep_row tiny_world_row(const exp::sweep_point& pt) {
   exp::dumbbell_config cfg;
   cfg.seed = pt.seed;
   exp::testbed d(exp::dumbbell(cfg));
@@ -305,17 +303,17 @@ exp::sweep_row tiny_world_row(const exp::sweep_point& pt, bool tracing) {
   exp::sweep_row row;
   row.value("events", static_cast<double>(d.sched().executed_events()));
   row.metrics = d.metrics().snapshot();
-  if (tracing) row.trace_blob = tb.serialize();
   return row;
 }
 
-std::string sweep_json(const exp::sweep_options& opts, bool tracing) {
+/// The JSON document followed by the rows' trace blobs (the JSON never
+/// carries them).
+std::string sweep_json(const exp::sweep_options& opts) {
   const std::vector<double> xs = {1.0, 2.0, 3.0};
-  const auto rows = exp::run_sweep(xs, opts, [tracing](const auto& pt) {
-    return tiny_world_row(pt, tracing);
-  });
+  const auto rows = exp::run_sweep(xs, opts, tiny_world_row);
   std::ostringstream os;
   exp::write_json(os, "obs_test", rows);
+  for (const exp::sweep_row& row : rows) os << row.trace_blob;
   return os.str();
 }
 
@@ -323,16 +321,16 @@ TEST(sweep_obs, rows_with_metrics_and_traces_are_jobs_invariant) {
   exp::sweep_options serial;
   serial.jobs = 1;
   serial.base_seed = 11;
-  exp::sweep_options threaded;
+  serial.trace = true;
+  exp::sweep_options threaded = serial;
   threaded.jobs = 3;
-  threaded.base_seed = 11;
-  EXPECT_EQ(sweep_json(serial, true), sweep_json(threaded, true));
+  EXPECT_EQ(sweep_json(serial), sweep_json(threaded));
 }
 
 TEST(sweep_obs, json_document_carries_schema_version_2_and_metrics) {
   exp::sweep_options opts;
   opts.base_seed = 11;
-  const std::string json = sweep_json(opts, false);
+  const std::string json = sweep_json(opts);
   EXPECT_NE(json.find("\"schema_version\": 2"), std::string::npos);
   EXPECT_NE(json.find("\"metrics\": {"), std::string::npos);
   EXPECT_NE(json.find("\"sched.executed_events\""), std::string::npos);
@@ -354,11 +352,10 @@ TEST(sweep_obs, metric_of_looks_up_flattened_names) {
 TEST(sweep_obs, profile_block_reports_wall_clock_and_event_totals) {
   exp::sweep_options opts;
   opts.base_seed = 11;
-  exp::sweep_profile prof;
+  opts.profile = std::make_shared<exp::sweep_profile>();
+  const exp::sweep_profile& prof = *opts.profile;
   const std::vector<double> xs = {1.0, 2.0};
-  const auto rows = exp::run_sweep(
-      xs, opts, [](const auto& pt) { return tiny_world_row(pt, false); },
-      &prof);
+  const auto rows = exp::run_sweep(xs, opts, tiny_world_row);
   EXPECT_EQ(prof.points, 2u);
   EXPECT_GT(prof.wall_ms, 0.0);
   EXPECT_GT(prof.points_per_sec, 0.0);

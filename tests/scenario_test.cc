@@ -323,6 +323,69 @@ TEST(scenario_flags, out_of_range_counts_exit_with_a_flag_message) {
               ::testing::ExitedWithCode(1), "bad value for --cm-entries: '0'");
 }
 
+TEST(scenario_flags, count_lists_parse_strictly) {
+  const auto sessions = [](const char* arg) {
+    util::flag_set flags;
+    flags.add("sessions", "2,8", "session counts");
+    const char* argv[] = {"prog", arg};
+    EXPECT_TRUE(flags.parse(2, argv));
+    return flags;
+  };
+  EXPECT_EQ(count_axis_from_flags(sessions("--sessions=2,64"), "sessions", 2,
+                                  64),
+            (std::vector<int>{2, 64}));
+  // Trailing garbage and fractions are not counts.
+  EXPECT_EXIT((void)count_axis_from_flags(sessions("--sessions=2x"),
+                                          "sessions", 2, 64),
+              ::testing::ExitedWithCode(1),
+              "bad value for --sessions: '2x' \\(expected counts in "
+              "\\[2, 64\\]\\)");
+  EXPECT_EXIT((void)count_axis_from_flags(sessions("--sessions=8,2.5"),
+                                          "sessions", 2, 64),
+              ::testing::ExitedWithCode(1), "bad value for --sessions: '2.5'");
+  // Values rejected before keep their message: the bad entry, echoed.
+  EXPECT_EXIT((void)count_axis_from_flags(sessions("--sessions=2,1"),
+                                          "sessions", 2, 64),
+              ::testing::ExitedWithCode(1), "bad value for --sessions: '1'");
+  EXPECT_EXIT((void)count_axis_from_flags(sessions("--sessions=65"),
+                                          "sessions", 2, 64),
+              ::testing::ExitedWithCode(1), "bad value for --sessions: '65'");
+}
+
+TEST(scenario_flags, empty_measurement_window_exits_with_a_flag_message) {
+  util::flag_set flags;
+  flags.add("duration", "200", "experiment length, seconds");
+  flags.add("inflate_at", "100", "attack start, seconds");
+  check_window_flags(flags, "inflate_at", "measurement");  // defaults pass
+  const char* argv[] = {"prog", "--duration=20", "--inflate_at=10"};
+  ASSERT_TRUE(flags.parse(3, argv));
+  EXPECT_EXIT(check_window_flags(flags, "inflate_at", "measurement"),
+              ::testing::ExitedWithCode(1),
+              "bad value for --duration/--inflate_at: 20/10 \\(need duration "
+              "> inflate_at \\+ 10 s so the measurement window is "
+              "non-empty\\)");
+}
+
+TEST(scenario_flags, countermeasure_axes_collapse_to_off_under_dl) {
+  EXPECT_EQ(off_under_dl(flid_mode::ds, "cm", std::vector<bool>{false, true}),
+            (std::vector<bool>{false, true}));
+  EXPECT_EQ(off_under_dl(flid_mode::dl, "probation-memory",
+                         std::vector<int>{0}),
+            std::vector<int>{0});
+  testing::internal::CaptureStderr();
+  EXPECT_EQ(off_under_dl(flid_mode::dl, "probation-memory",
+                         std::vector<int>{0, 8}),
+            std::vector<int>{0});
+  EXPECT_EQ(off_under_dl(flid_mode::dl, "interface-keying",
+                         std::vector<bool>{true}),
+            std::vector<bool>{false});
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "note: --probation-memory has no effect under --mode=dl; running "
+            "the axis off\n"
+            "note: --interface-keying has no effect under --mode=dl; running "
+            "the axis off\n");
+}
+
 TEST(scenario, negative_access_delay_is_rejected_loudly) {
   // The old API used -1 as a "use the default" sentinel on access_delay; a
   // misconfigured negative delay now fails instead of silently meaning

@@ -10,6 +10,7 @@
 #include <thread>
 
 #include "crypto/prng.h"
+#include "exp/testbed.h"
 #include "util/require.h"
 
 namespace mcc::exp {
@@ -157,6 +158,53 @@ TEST(sweep, json_document_shape) {
   // Balanced braces as a cheap well-formedness check.
   EXPECT_EQ(std::count(doc.begin(), doc.end(), '{'),
             std::count(doc.begin(), doc.end(), '}'));
+}
+
+TEST(sweep, trace_blobs_exist_only_when_requested_and_are_jobs_invariant) {
+  // Each point builds a small traced world; run_sweep owns the trace scope.
+  const auto traced_world = [](const sweep_point& pt) {
+    dumbbell_config cfg;
+    cfg.seed = pt.seed;
+    testbed d(dumbbell(cfg));
+    d.add_flid_session(flid_mode::ds, {receiver_options{}});
+    d.run_until(sim::seconds(3.0));
+    return sweep_row{};
+  };
+  sweep_options off;
+  off.base_seed = 5;
+  for (const sweep_row& row : run_sweep(grid(3), off, traced_world)) {
+    EXPECT_TRUE(row.trace_blob.empty());
+  }
+  sweep_options serial = off;
+  serial.trace = true;
+  sweep_options threaded = serial;
+  threaded.jobs = 3;
+  const auto a = run_sweep(grid(3), serial, traced_world);
+  const auto b = run_sweep(grid(3), threaded, traced_world);
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_FALSE(a[i].trace_blob.empty());
+    EXPECT_EQ(a[i].trace_blob, b[i].trace_blob) << "row " << i;
+  }
+  EXPECT_NE(a[0].trace_blob, a[1].trace_blob) << "each point traces its own world";
+}
+
+TEST(sweep, flags_carry_the_trace_and_profile_requests) {
+  util::flag_set flags("test");
+  add_sweep_flags(flags);
+  const char* quiet[] = {"prog"};
+  ASSERT_TRUE(flags.parse(1, quiet));
+  const sweep_options off = sweep_options_from_flags(flags, 1);
+  EXPECT_FALSE(off.trace);
+  EXPECT_EQ(off.profile, nullptr);
+
+  const char* argv[] = {"prog", "--trace=run.trace", "--profile=true"};
+  ASSERT_TRUE(flags.parse(3, argv));
+  const sweep_options on = sweep_options_from_flags(flags, 1);
+  EXPECT_TRUE(on.trace);
+  ASSERT_NE(on.profile, nullptr);
+  (void)run_sweep(grid(2), on, fake_experiment);
+  EXPECT_EQ(on.profile->points, 2u);
 }
 
 TEST(sweep, flags_register_and_read_back) {
